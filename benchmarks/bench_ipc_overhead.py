@@ -1,40 +1,27 @@
-"""Process-engine IPC overhead: the batched wire path vs one frame per pair.
+"""Process-engine IPC overhead: wire cost per workload at default flags.
 
-PR 3's process backend ships exactly one task frame and one result frame
-per vertex-phase execution — correct, but the coordinator pays a full
-pickle + queue round trip per pair, which dominates wall time whenever
-vertex compute is cheap.  The batched wire path amortises that cost:
-``ipc_batch > 1`` drains the ready backlog into per-worker
-``TaskBatch`` frames (answered by one ``ResultBatch`` each), with
-repeated payload values interned so a frame pickles them once, while the
-adaptive credit window keeps the backlog deep enough for full frames to
-form.
-
-This benchmark measures the before/after on two workloads:
+Every dispatch ships one claimed run as one ``RunMsg`` frame, answered by
+one ``ResultBatch``; repeated payload values are interned so a frame
+pickles them once, and an adaptive per-worker credit window bounds the
+in-flight contexts.  This benchmark reports what that wire path costs on
+two workloads:
 
 * ``cpu_heavy`` — the wide grid of ``cpu_heavy_workload`` at a small
-  spin grain, the IPC-bound regime the batching targets;
+  spin grain, the IPC-bound regime;
 * ``laundering`` — the stateful anomaly-detection program of
   :mod:`repro.models.domains.laundering`, whose repetitive transaction
   payloads are where interning and delta state sync pay off.
 
-Every configuration is judged against the serial oracle
-(``oracle_equal`` per row) — a wire path that loses or reorders results
-is not an optimisation.
-
-Acceptance criterion (full mode): at ``ipc_batch=8`` the task-frame
-count (``ipc_round_trips``) drops by at least 4x on both workloads, the
-total serialization bytes on the stateful (laundering) workload shrink
-vs the one-frame-per-pair path, and every row stays oracle-equal.
-Quick mode (the CI smoke) checks the structural property instead:
-``ipc_round_trips < executions`` whenever ``ipc_batch > 1``, still with
-oracle equality.
+Each row records task frames (``ipc_round_trips``) against executions,
+serialization bytes per traffic class, the credit windows and the
+interner counters.  Criterion: every row matches the serial oracle — a
+wire path that loses or reorders results is not an optimisation.
 
 CI smoke::
 
     python benchmarks/bench_ipc_overhead.py --quick
 
-Full run (commits its results as ``BENCH_ipc_overhead.json``)::
+Full run::
 
     python benchmarks/bench_ipc_overhead.py --out BENCH_ipc_overhead.json
 """
@@ -60,20 +47,13 @@ from repro.models.domains.laundering import (  # noqa: E402
 from repro.runtime.mp import ProcessEngine  # noqa: E402
 from repro.streams.workloads import cpu_heavy_workload  # noqa: E402
 
-ROUND_TRIP_TARGET = 4.0  # x reduction in task frames at ipc_batch=8
-CRITERION_IPC_BATCH = 8
-
 FULL = {
     "workers": 2,
-    "batch_size": 4,
-    "ipc_batches": [1, 2, 8],
     "cpu_heavy": {"width": 8, "depth": 2, "phases": 40, "grain": 200},
     "laundering": {"phases": 300, "branches": 8},
 }
 QUICK = {
     "workers": 2,
-    "batch_size": 4,
-    "ipc_batches": [1, 4],
     "cpu_heavy": {"width": 4, "depth": 2, "phases": 8, "grain": 100},
     "laundering": {"phases": 30, "branches": 4},
 }
@@ -97,31 +77,23 @@ def _workloads(cfg: Dict[str, Any]):
 
 
 def _measure(
-    make_workload, workload_name: str, cfg: Dict[str, Any], ipc_batch: int
+    make_workload, workload_name: str, cfg: Dict[str, Any]
 ) -> Dict[str, Any]:
     prog, phases = make_workload()
     serial = SerialExecutor(prog).run(phases)
     prog, phases = make_workload()
-    result = ProcessEngine(
-        prog,
-        num_workers=cfg["workers"],
-        batch_size=cfg["batch_size"],
-        ipc_batch=ipc_batch,
-    ).run(phases)
+    result = ProcessEngine(prog, num_workers=cfg["workers"]).run(phases)
     wire = result.stats["serialization_bytes"]
     return {
         "workload": workload_name,
         "engine": result.engine,
-        "ipc_batch": ipc_batch,
         "executions": result.execution_count,
         "wall_time_s": result.wall_time,
         "ipc_round_trips": result.stats["ipc_round_trips"],
         "serialization_bytes": wire,
         "total_bytes": wire["total_bytes"],
-        "task_bytes": wire["tasks"]["bytes"] + wire["task_batches"]["bytes"],
-        "result_bytes": (
-            wire["results"]["bytes"] + wire["result_batches"]["bytes"]
-        ),
+        "task_bytes": wire["tasks"]["bytes"],
+        "result_bytes": wire["results"]["bytes"],
         "mean_tasks_per_frame": result.stats["ipc"]["mean_tasks_per_frame"],
         "window": result.stats["ipc"]["window_final"],
         "interning": result.stats["ipc"]["interning"],
@@ -129,91 +101,17 @@ def _measure(
     }
 
 
-def check_criterion(
-    rows: List[Dict[str, Any]], quick: bool
-) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"evaluated": True, "checks": []}
-    passed = True
-
-    def by(workload: str, ipc: int) -> Optional[Dict[str, Any]]:
-        return next(
-            (
-                r
-                for r in rows
-                if r["workload"] == workload and r["ipc_batch"] == ipc
-            ),
-            None,
-        )
-
-    for row in rows:
-        if not row["oracle_equal"]:
-            out["checks"].append(
-                {
-                    "check": "oracle_equal",
-                    "row": f"{row['workload']}[ipc={row['ipc_batch']}]",
-                    "passed": False,
-                }
-            )
-            passed = False
-    if quick:
-        # The CI smoke's structural property: batching actually batches.
-        for row in rows:
-            if row["ipc_batch"] > 1:
-                ok = row["ipc_round_trips"] < row["executions"]
-                out["checks"].append(
-                    {
-                        "check": "round_trips_below_executions",
-                        "row": f"{row['workload']}[ipc={row['ipc_batch']}]",
-                        "ipc_round_trips": row["ipc_round_trips"],
-                        "executions": row["executions"],
-                        "passed": ok,
-                    }
-                )
-                passed = passed and ok
-        out["passed"] = passed
-        return out
-    workloads = sorted({r["workload"] for r in rows})
-    for workload in workloads:
-        before = by(workload, 1)
-        after = by(workload, CRITERION_IPC_BATCH)
-        if before is None or after is None:
-            out["checks"].append(
-                {"check": "rows_present", "row": workload, "passed": False}
-            )
-            passed = False
-            continue
-        ratio = before["ipc_round_trips"] / max(1, after["ipc_round_trips"])
-        ok = ratio >= ROUND_TRIP_TARGET
-        out["checks"].append(
-            {
-                "check": "round_trip_reduction",
-                "row": workload,
-                "before": before["ipc_round_trips"],
-                "after": after["ipc_round_trips"],
-                "reduction_x": ratio,
-                "target_x": ROUND_TRIP_TARGET,
-                "passed": ok,
-            }
-        )
-        passed = passed and ok
-    before = by("laundering", 1)
-    after = by("laundering", CRITERION_IPC_BATCH)
-    if before is not None and after is not None:
-        ok = after["total_bytes"] < before["total_bytes"]
-        out["checks"].append(
-            {
-                "check": "stateful_bytes_reduced",
-                "row": "laundering",
-                "before_bytes": before["total_bytes"],
-                "after_bytes": after["total_bytes"],
-                "reduction_pct": 100.0
-                * (1 - after["total_bytes"] / before["total_bytes"]),
-                "passed": ok,
-            }
-        )
-        passed = passed and ok
-    out["passed"] = passed
-    return out
+def check_criterion(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+    checks = [
+        {"check": "oracle_equal", "row": row["workload"],
+         "passed": row["oracle_equal"]}
+        for row in rows
+    ]
+    return {
+        "evaluated": True,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -222,27 +120,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rows: List[Dict[str, Any]] = []
     for workload_name, make_workload in _workloads(cfg).items():
-        for ipc_batch in cfg["ipc_batches"]:
-            row = _measure(make_workload, workload_name, cfg, ipc_batch)
-            rows.append(row)
-            print(
-                f"{workload_name:<10} ipc={ipc_batch:<2} "
-                f"round_trips={row['ipc_round_trips']:>5} "
-                f"(executions={row['executions']}) "
-                f"bytes={row['total_bytes']:>9} "
-                f"wall={row['wall_time_s'] * 1000:8.1f}ms "
-                f"oracle={'ok' if row['oracle_equal'] else 'DIVERGED'}"
-            )
+        row = _measure(make_workload, workload_name, cfg)
+        rows.append(row)
+        print(
+            f"{workload_name:<10} "
+            f"round_trips={row['ipc_round_trips']:>5} "
+            f"(executions={row['executions']}) "
+            f"bytes={row['total_bytes']:>9} "
+            f"wall={row['wall_time_s'] * 1000:8.1f}ms "
+            f"oracle={'ok' if row['oracle_equal'] else 'DIVERGED'}"
+        )
 
-    criterion = check_criterion(rows, args.quick)
-    for check in criterion["checks"]:
-        verdict = "PASS" if check["passed"] else "FAIL"
-        detail = {
-            k: v
-            for k, v in check.items()
-            if k not in ("check", "row", "passed")
-        }
-        print(f"criterion[{check['check']}] {check['row']}: {verdict} {detail}")
+    criterion = check_criterion(rows)
+    print("criterion[oracle_equal]:",
+          "PASS" if criterion["passed"] else "FAIL")
 
     hardware = {
         "cpu_count": os.cpu_count() or 1,

@@ -1,4 +1,4 @@
-"""Lock contention: batched vs unbatched commit path.
+"""Lock contention: the global lock across thread counts and grains.
 
 The paper (Section 4) attributes the sub-linear two-thread speedup to
 "the number of threads contending for the data structures", and warns
@@ -9,13 +9,13 @@ measures exactly that wall: it runs the same layered workload across
 
 * thread counts (the contention axis),
 * compute grains (how much work a vertex does per execution — 0 means
-  the pure scheduler-overhead regime the paper warns about), and
-* batch sizes (1 = the paper's one-pair-per-critical-section loop;
-  B > 1 = the batched low-contention commit path),
+  the pure scheduler-overhead regime the paper warns about),
 
-and reports wall-clock, the global lock's ``contention_ratio``
+with the engine's default dispatch (each dequeued pair extended into a
+claimed run, committed in one critical section), and reports wall-clock, the global lock's ``contention_ratio``
 (contended / total acquisitions), and ``commits_per_acquisition`` (how
-many pair commits each lock acquisition amortises).
+many pair commits each lock acquisition amortises).  It records
+measurements only; it has no pass/fail criterion.
 
 Unlike the pytest-benchmark suites next door this is a standalone
 script, so CI can smoke it cheaply::
@@ -28,11 +28,8 @@ and the full run commits its results as ``BENCH_lock_contention.json``::
         --out BENCH_lock_contention.json
 
 Interpretation: pure-Python vertex work is serialised by the GIL, so
-adding threads to a fine-grained workload *increases* wall-clock at
-batch size 1 (every pair pays two lock round-trips plus a queue wake-up).
-Batching removes most of those round-trips — the acceptance criterion is
-that at >= 4 threads and fine grain the batched engine shows a lower
-contention ratio *and* lower wall-clock than the unbatched one.
+adding threads to a fine-grained workload *increases* wall-clock (every
+run pays two lock round-trips plus a queue wake-up).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ FULL = {
     "depth": 4,
     "phases": 80,
     "threads": [1, 2, 4, 8],
-    "batches": [1, 4, 16, 64],
     "grains_us": [0, 20, 100],
     "reps": 3,
 }
@@ -65,7 +61,6 @@ QUICK = {
     "depth": 3,
     "phases": 20,
     "threads": [2, 4],
-    "batches": [1, 8],
     "grains_us": [0],
     "reps": 1,
 }
@@ -88,7 +83,7 @@ def build_program(width: int, depth: int, phases: int, grain_us: float):
     return prog, phase_inputs
 
 
-def measure(cfg: Dict[str, Any], threads: int, batch: int,
+def measure(cfg: Dict[str, Any], threads: int,
             grain_us: float) -> Dict[str, Any]:
     prog, phases = build_program(
         cfg["width"], cfg["depth"], cfg["phases"], grain_us
@@ -98,9 +93,7 @@ def measure(cfg: Dict[str, Any], threads: int, batch: int,
     commits_per_acq: List[float] = []
     executions = 0
     for _ in range(cfg["reps"]):
-        res = ParallelEngine(
-            prog, num_threads=threads, batch_size=batch
-        ).run(phases)
+        res = ParallelEngine(prog, num_threads=threads).run(phases)
         executions = res.execution_count
         walls.append(res.wall_time)
         contention.append(res.stats["lock"]["contention_ratio"])
@@ -109,50 +102,11 @@ def measure(cfg: Dict[str, Any], threads: int, batch: int,
         )
     return {
         "threads": threads,
-        "batch_size": batch,
         "grain_us": grain_us,
         "executions": executions,
         "wall_time_s": statistics.median(walls),
         "contention_ratio": statistics.median(contention),
         "commits_per_acquisition": statistics.median(commits_per_acq),
-    }
-
-
-def check_criterion(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """At >= 4 threads and the finest grain, batching must reduce both the
-    contention ratio and the wall-clock relative to batch size 1."""
-    fine = min(r["grain_us"] for r in rows)
-    verdicts = []
-    for threads in sorted({r["threads"] for r in rows if r["threads"] >= 4}):
-        cell = [
-            r for r in rows
-            if r["threads"] == threads and r["grain_us"] == fine
-        ]
-        base = next(r for r in cell if r["batch_size"] == 1)
-        best = min(
-            (r for r in cell if r["batch_size"] > 1),
-            key=lambda r: r["wall_time_s"],
-        )
-        verdicts.append(
-            {
-                "threads": threads,
-                "grain_us": fine,
-                "unbatched_wall_s": base["wall_time_s"],
-                "batched_wall_s": best["wall_time_s"],
-                "batched_batch_size": best["batch_size"],
-                "unbatched_contention": base["contention_ratio"],
-                "batched_contention": best["contention_ratio"],
-                "wall_reduced": best["wall_time_s"] < base["wall_time_s"],
-                "contention_reduced": (
-                    best["contention_ratio"] <= base["contention_ratio"]
-                ),
-            }
-        )
-    return {
-        "passed": all(
-            v["wall_reduced"] and v["contention_reduced"] for v in verdicts
-        ),
-        "cells": verdicts,
     }
 
 
@@ -162,35 +116,15 @@ def main(argv: List[str] | None = None) -> int:
     rows: List[Dict[str, Any]] = []
     for grain in cfg["grains_us"]:
         for threads in cfg["threads"]:
-            for batch in cfg["batches"]:
-                row = measure(cfg, threads, batch, grain)
-                rows.append(row)
-                print(
-                    f"grain={grain:>4}us k={threads} b={batch:<3d} "
-                    f"wall={row['wall_time_s'] * 1000:8.1f}ms "
-                    f"contention={row['contention_ratio']:.4f} "
-                    f"commits/acq={row['commits_per_acquisition']:.2f}"
-                )
-
-    criterion = check_criterion(rows) if not args.quick else None
-    if criterion is not None:
-        for cell in criterion["cells"]:
+            row = measure(cfg, threads, grain)
+            rows.append(row)
             print(
-                f"k={cell['threads']} grain={cell['grain_us']}us: "
-                f"wall {cell['unbatched_wall_s'] * 1000:.1f}ms -> "
-                f"{cell['batched_wall_s'] * 1000:.1f}ms "
-                f"(b={cell['batched_batch_size']}), contention "
-                f"{cell['unbatched_contention']:.4f} -> "
-                f"{cell['batched_contention']:.4f}"
+                f"grain={grain:>4}us k={threads} "
+                f"wall={row['wall_time_s'] * 1000:8.1f}ms "
+                f"contention={row['contention_ratio']:.4f} "
+                f"commits/acq={row['commits_per_acquisition']:.2f}"
             )
-        print(
-            "criterion:",
-            "PASS" if criterion["passed"] else "FAIL",
-            "(batched beats unbatched on wall-clock and contention "
-            "at >= 4 threads, fine grain)",
-        )
-
-    return finish(args, "lock_contention", cfg, rows, criterion)
+    return finish(args, "lock_contention", cfg, rows, None)
 
 
 if __name__ == "__main__":

@@ -57,14 +57,15 @@ engine-agnostic portion validated by :func:`validate_engine_stats`:
     every global-frontier run);
   - ``run_length_cap``: ``None`` (adaptive) or int >= 1 — the
     ``run_length`` the engine ran with;
-  - ``runs_scheduled``: int >= 0 — ``claim_run`` dispatches (a run of
-    one still counts: it paid one dispatch);
+  - ``runs_scheduled``: int >= 0 — cone-mode ``claim_run`` dispatches
+    (a run of one still counts: it paid one dispatch; global-mode
+    claims return ``[p]`` uncounted);
   - ``pairs_coalesced``: int >= 0 — extension members that rode along
     with a run head instead of paying their own dispatch (0 when
-    disabled — the run-length-1 paths never enter ``claim_run``);
+    disabled);
   - ``mean_run_length``: float >= 0 — members per run
     (``(runs_scheduled + pairs_coalesced) / runs_scheduled``; 0.0
-    before any run).
+    before any run, so 0.0 or 1.0 when disabled).
 
 * ``stats["serve"]`` — the continuous-operation service layer
   (:mod:`repro.serve`) reports its session document with a ``serve``
@@ -201,9 +202,10 @@ def validate_coalescing_stats(
     strings (empty list == valid).
 
     Beyond per-key shape, checks the scheduler-side consistency laws:
-    a disabled run never coalesces (the run-length-1 dispatch paths do
-    not enter ``claim_run``), and ``mean_run_length`` is exactly
-    members-per-run.
+    ``mean_run_length`` is exactly members-per-run, and a disabled run
+    never coalesces — every dispatch still enters ``claim_run``, but
+    each run is one pair, so ``pairs_coalesced == 0`` and
+    ``mean_run_length`` is 0.0 (no counted run) or 1.0.
     """
     errors: List[str] = []
     if not isinstance(section, Mapping):
@@ -242,12 +244,16 @@ def validate_coalescing_stats(
                 f"(= {members}/{runs}), got {mean}"
             )
     if enabled is False:
-        for key in _COALESCING_COUNTERS:
-            if values.get(key):
-                errors.append(
-                    f"{where}.{key}: expected 0 when coalescing is "
-                    f"disabled, got {values[key]}"
-                )
+        if values.get("pairs_coalesced"):
+            errors.append(
+                f"{where}.pairs_coalesced: expected 0 when coalescing is "
+                f"disabled, got {values['pairs_coalesced']}"
+            )
+        if isinstance(mean, (int, float)) and mean not in (0, 1):
+            errors.append(
+                f"{where}.mean_run_length: expected 0 or 1 when "
+                f"coalescing is disabled, got {mean}"
+            )
     extra = set(section) - set(_COALESCING_COUNTERS) - {
         "enabled", "run_length_cap", "mean_run_length",
     }

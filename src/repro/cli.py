@@ -54,46 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an XML computation spec")
     run.add_argument("spec", help="path to the XML specification file")
-    run.add_argument(
-        "--engine",
-        choices=["serial", "parallel", "process", "simulated"],
-        default="parallel",
-        help="which engine executes the computation (default: parallel)",
-    )
-    run.add_argument("--threads", type=int, default=2,
-                     help="computation threads for --engine parallel")
-    run.add_argument("--batch-size", type=int, default=1,
-                     help="ready pairs committed per lock acquisition for "
-                          "--engine parallel/process (default 1: the "
-                          "paper's unbatched loop)")
-    run.add_argument("--workers", type=int, default=2,
-                     help="worker processes for --engine process; workers "
-                          "for --engine simulated")
+    _add_engine_flags(run, ["serial", "parallel", "process", "simulated"])
     run.add_argument("--processors", type=int, default=2,
                      help="CPUs for --engine simulated")
     run.add_argument("--start-method", default=None,
                      choices=["fork", "spawn", "forkserver"],
                      help="multiprocessing start method for --engine "
                           "process (default: fork where available)")
-    run.add_argument("--ipc-batch", type=int, default=1,
-                     help="tasks per dispatch frame for --engine process "
-                          "(default 1: one frame per pair; >1 ships "
-                          "TaskBatch frames with interned payloads)")
-    run.add_argument("--window", type=int, default=0,
-                     help="per-worker in-flight credit window for "
-                          "--engine process (default 0: adaptive)")
-    run.add_argument("--fuse", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="compile the graph with linear-chain vertex "
-                          "fusion before scheduling (default on; "
-                          "--no-fuse schedules the original graph)")
-    run.add_argument("--frontier", choices=["global", "cone"],
-                     default="cone",
-                     help="readiness rule: 'cone' (default) uses "
-                          "per-dependency frontiers so independent "
-                          "ancestor cones pipeline ahead of slow "
-                          "siblings; 'global' reproduces the paper's "
-                          "single x_p clamp exactly")
     run.add_argument("--suppress", action=argparse.BooleanOptionalAction,
                      default=None,
                      help="change suppression: elide outputs equal to the "
@@ -102,29 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "--frontier cone, off under --frontier global "
                           "to keep the paper's schedule byte-identical; "
                           "--no-suppress forces it off)")
-    run.add_argument("--run-length", type=int, default=0, metavar="K",
-                     help="temporal run coalescing: extend each dispatched "
-                          "pair (v, p) into a run (v, [p..p+k]) of up to K "
-                          "already-determined phases, executed back-to-back "
-                          "and committed in one critical section (default "
-                          "0: adaptive under --frontier cone, off under "
-                          "global; 1 disables coalescing)")
     run.add_argument("--profile", metavar="PATH", default=None,
                      help="profile the engine run with cProfile, dump the "
                           "pstats file to PATH, and print a per-stage "
                           "wall-time breakdown")
-    run.add_argument("--shards", type=int, default=0, metavar="N",
-                     help="run the spec as N keyed shards (replicated "
-                          "engine instances behind a stable key router) "
-                          "and merge the outputs; requires a "
-                          "key-separable graph (default 0: single "
-                          "instance)")
-    run.add_argument("--key-by", choices=["source", "bracket"],
-                     default="bracket",
-                     help="key derivation for --shards: 'bracket' "
-                          "(default) keys a source by its [...] suffix "
-                          "(txn[a3] -> a3), 'source' makes every source "
-                          "its own key")
     run.add_argument("--check", action="store_true",
                      help="also run the (unsuppressed) serial oracle and "
                           "verify serializability; with suppression on, "
@@ -147,35 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                "GET /stream (SSE), GET /stats, GET /healthz.",
     )
     serve.add_argument("spec", help="path to the XML specification file")
-    serve.add_argument("--engine", choices=["parallel", "process"],
-                       default="parallel",
-                       help="which real engine serves (default: parallel)")
-    serve.add_argument("--threads", type=int, default=2,
-                       help="computation threads for --engine parallel")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes for --engine process")
-    serve.add_argument("--batch-size", type=int, default=1)
-    serve.add_argument("--ipc-batch", type=int, default=1,
-                       help="tasks per dispatch frame for --engine process")
-    serve.add_argument("--window", type=int, default=0,
-                       help="per-worker credit window for --engine process "
-                            "(0: adaptive)")
-    serve.add_argument("--fuse", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="linear-chain vertex fusion (default on)")
-    serve.add_argument("--frontier", choices=["global", "cone"],
-                       default="cone",
-                       help="readiness rule (default cone)")
-    serve.add_argument("--run-length", type=int, default=0, metavar="K",
-                       help="temporal run coalescing cap (default 0: "
-                            "adaptive under cone, off under global; 1 "
-                            "disables)")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="serve as N keyed shards with watermark-"
-                            "aligned merge (requires key-separable graph)")
-    serve.add_argument("--key-by", choices=["source", "bracket"],
-                       default="bracket",
-                       help="key derivation for --shards (default bracket)")
+    _add_engine_flags(serve, ["parallel", "process"])
     serve.add_argument("--wait", type=float, default=2.0,
                        help="watermark wait before sealing a timestamp "
                             "(default 2.0)")
@@ -251,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="thread",
                       help="thread: virtual-scheduler campaign over the "
                            "threaded engine (default); process: real "
-                           "ProcessEngine runs sweeping the wire-path "
-                           "knobs (workers, batch, ipc-batch, window) "
+                           "ProcessEngine runs sweeping the worker count "
                            "against the serial oracle")
     fuzz.add_argument("--runs", type=int, default=100,
                       help="schedules to explore (default 100; the "
@@ -279,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the first")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip greedy minimisation of failing workloads")
-    fuzz.add_argument("--batch-size", type=int, default=1,
-                      help="worker commit batch size: explore the batched "
-                           "commit path (default 1: the unbatched engine)")
     fuzz.add_argument("--fuse", action="store_true",
                       help="run the campaign over fused execution plans: "
                            "each random workload is compiled with "
@@ -320,6 +236,51 @@ def build_parser() -> argparse.ArgumentParser:
                            "into DIR — what CI uploads as artifacts")
 
     return parser
+
+
+def _add_engine_flags(
+    cmd: argparse.ArgumentParser, engines: Sequence[str]
+) -> None:
+    """The engine-selection flags ``run`` and ``serve`` share."""
+    cmd.add_argument("--engine", choices=list(engines), default="parallel",
+                     help="which engine executes the computation "
+                          "(default: parallel)")
+    cmd.add_argument("--threads", type=int, default=2,
+                     help="computation threads for --engine parallel")
+    cmd.add_argument("--workers", type=int, default=2,
+                     help="worker processes for --engine process"
+                          + ("; workers for --engine simulated"
+                             if "simulated" in engines else ""))
+    cmd.add_argument("--fuse", action=argparse.BooleanOptionalAction,
+                     default=True,
+                     help="compile the graph with linear-chain vertex "
+                          "fusion before scheduling (default on; "
+                          "--no-fuse schedules the original graph)")
+    cmd.add_argument("--frontier", choices=["global", "cone"],
+                     default="cone",
+                     help="readiness rule: 'cone' (default) uses "
+                          "per-dependency frontiers so independent "
+                          "ancestor cones pipeline ahead of slow "
+                          "siblings; 'global' reproduces the paper's "
+                          "single x_p clamp exactly")
+    cmd.add_argument("--run-length", type=int, default=0, metavar="K",
+                     help="temporal run coalescing: extend each dispatched "
+                          "pair (v, p) into a run (v, [p..p+k]) of up to K "
+                          "already-determined phases, executed back-to-back "
+                          "and committed in one critical section (default "
+                          "0: adaptive under --frontier cone, off under "
+                          "global; 1 disables coalescing)")
+    cmd.add_argument("--shards", type=int, default=0, metavar="N",
+                     help="run as N keyed shards (replicated engine "
+                          "instances behind a stable key router) and merge "
+                          "the outputs; requires a key-separable graph "
+                          "(default 0: single instance)")
+    cmd.add_argument("--key-by", choices=["source", "bracket"],
+                     default="bracket",
+                     help="key derivation for --shards: 'bracket' "
+                          "(default) keys a source by its [...] suffix "
+                          "(txn[a3] -> a3), 'source' makes every source "
+                          "its own key")
 
 
 def _load(path: str):
@@ -460,7 +421,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = ParallelEngine(
                 plan,
                 num_threads=args.threads,
-                batch_size=args.batch_size,
                 frontier=args.frontier,
                 suppress=args.suppress,
                 run_length=run_length,
@@ -473,10 +433,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = ProcessEngine(
                 plan,
                 num_workers=args.workers,
-                batch_size=args.batch_size,
                 start_method=args.start_method,
-                ipc_batch=args.ipc_batch,
-                window=args.window or None,
                 frontier=args.frontier,
                 suppress=args.suppress,
                 run_length=run_length,
@@ -591,12 +548,9 @@ def _run_sharded(args: argparse.Namespace, spec, phases) -> int:
         engine=args.engine,
         engine_options={
             "threads": args.threads,
-            "batch_size": args.batch_size,
             "workers": args.workers,
             "processors": args.processors,
             "start_method": args.start_method,
-            "ipc_batch": args.ipc_batch,
-            "window": args.window,
         },
         fuse=args.fuse,
         frontier=args.frontier,
@@ -679,9 +633,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         threads=args.threads,
         workers=args.workers,
-        batch_size=args.batch_size,
-        ipc_batch=args.ipc_batch,
-        window=args.window or None,
         fuse=args.fuse,
         frontier=args.frontier,
         run_length=args.run_length or None,
@@ -950,7 +901,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         do_shrink=not args.no_shrink,
         max_vertices=args.max_vertices,
         max_phases=args.max_phases,
-        batch_size=args.batch_size,
         fuse=args.fuse,
         frontier=args.frontier,
         skew=args.skew,

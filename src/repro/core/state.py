@@ -60,8 +60,7 @@ The hot-path observers never rebuild sets:
   started phases — so it is O(in-flight) with no scan over ``x``.
 * :class:`ReadyFrontier` keeps the dispatch backlog pre-partitioned by
   worker, so draining it is O(pairs drained + workers with backlog)
-  instead of the O(total pending) sweep of :func:`drain_ready_batches`
-  (kept as the reference implementation).
+  instead of an O(total pending) sweep.
 
 Per-dependency frontiers (``frontier="cone"``)
 ----------------------------------------------
@@ -116,11 +115,12 @@ commit through one :meth:`SchedulerState.complete_executions` critical
 section.  Claimed extension members are tracked in a *claim ledger*
 (they are not ready — the settled gate has not reached them — but they
 may execute), stay out of future readiness scans, and advance the
-exactly-once ``_ready_upto`` bookkeeping at claim time.  Global mode
-never extends a run (the x_p clamp cannot certify later phases), so the
-published Listing 1/2 schedule stays byte-identical.  ALGORITHM.md §5.7
-gives the serializability argument (a run = k serial commits observed
-atomically).
+exactly-once ``_ready_upto`` bookkeeping at claim time.  Every engine
+dispatch goes through ``claim_run``: a single pair is a run of length 1.
+Global mode never extends a run (the x_p clamp cannot certify later
+phases) and ``claim_run`` has no preemption points, so the published
+Listing 1/2 schedule stays byte-identical.  ALGORITHM.md §5.7 gives the
+serializability argument (a run = k serial commits observed atomically).
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ from .pairsets import LazyMinHeap
 __all__ = [
     "SchedulerState",
     "Pair",
-    "drain_ready_batches",
     "ReadyFrontier",
     "ADAPTIVE_RUN_CEILING",
 ]
@@ -161,64 +160,13 @@ Pair = Tuple[int, int]
 ADAPTIVE_RUN_CEILING = 64
 
 
-def drain_ready_batches(
-    pending: "deque[Pair]",
-    assign: Callable[[int], int],
-    capacity: Callable[[int], int],
-    chunk: int,
-) -> Tuple[List[Tuple[int, List[Pair]]], Set[int]]:
-    """Drain ready pairs into per-worker dispatch batches.
-
-    Sweeps *pending* (a deque of ready pairs, FIFO) once, routing each
-    pair to ``assign(v)`` (the sticky worker of its vertex) and taking at
-    most ``capacity(w)`` pairs per worker — the worker's remaining credit
-    window.  Pairs that do not fit stay in *pending* in their original
-    relative order, preserving the per-worker FIFO that the phase-order
-    argument relies on.
-
-    Returns ``(batches, starved)`` where *batches* is a list of
-    ``(worker, pairs)`` with ``len(pairs) <= chunk`` (a worker whose
-    drain exceeds *chunk* yields several consecutive batches) and
-    *starved* is the set of workers that still had pairs waiting when
-    their credit ran out — the adaptive window controller's widening
-    signal.
-
-    The helper never consults scheduler internals: it operates on pairs
-    the :class:`SchedulerState` mutators already returned as ready, so
-    using it cannot weaken the exactly-once placement argument.
-    """
-    if chunk < 1:
-        raise SchedulerError(f"chunk must be >= 1, got {chunk}")
-    taken: Dict[int, List[Pair]] = {}
-    remaining: Dict[int, int] = {}
-    starved: Set[int] = set()
-    leftover: List[Pair] = []
-    while pending:
-        pair = pending.popleft()
-        w = assign(pair[0])
-        if w not in remaining:
-            remaining[w] = max(0, capacity(w))
-        if remaining[w] <= 0:
-            starved.add(w)
-            leftover.append(pair)
-            continue
-        remaining[w] -= 1
-        taken.setdefault(w, []).append(pair)
-    pending.extend(leftover)
-    batches: List[Tuple[int, List[Pair]]] = []
-    for w, pairs in taken.items():
-        for i in range(0, len(pairs), chunk):
-            batches.append((w, pairs[i : i + chunk]))
-    return batches, starved
-
-
 class ReadyFrontier:
     """The dispatch backlog, pre-partitioned by sticky worker.
 
-    Where :func:`drain_ready_batches` sweeps the whole pending deque on
-    every dispatch attempt — O(total pending), even when most pairs
-    belong to credit-starved workers — this index routes each ready pair
-    to its worker's FIFO bucket **once, at insertion** (``assign`` is the
+    Rather than sweep one pending deque on every dispatch attempt —
+    O(total pending), even when most pairs belong to credit-starved
+    workers — this index routes each ready pair to its worker's FIFO
+    bucket **once, at insertion** (``assign`` is the
     sticky map, so a vertex's bucket never changes), and a drain touches
     only the pairs it actually takes plus the workers that still hold a
     backlog.  Per-worker FIFO order, which the phase-order/serializability
@@ -262,17 +210,18 @@ class ReadyFrontier:
             self._backlog.add(worker)
 
     def drain(
-        self, capacity: Callable[[int], int], chunk: int
+        self, capacity: Callable[[int], int]
     ) -> Tuple[List[Tuple[int, List[Pair]]], Set[int]]:
         """Take up to ``capacity(w)`` pairs per backlogged worker.
 
-        Same contract as :func:`drain_ready_batches` — batches of at most
-        *chunk* pairs each, plus the set of workers left starved for
-        credit — but O(pairs drained + backlogged workers).
+        Returns ``(taken, starved)``: *taken* lists ``(worker, pairs)``
+        in ascending worker order, each worker's pairs in FIFO order;
+        *starved* is the set of workers that still hold a backlog once
+        their credit ran out — the adaptive window controller's
+        widening signal.  A non-positive capacity takes nothing.
+        O(pairs drained + backlogged workers).
         """
-        if chunk < 1:
-            raise SchedulerError(f"chunk must be >= 1, got {chunk}")
-        batches: List[Tuple[int, List[Pair]]] = []
+        taken: List[Tuple[int, List[Pair]]] = []
         starved: Set[int] = set()
         for w in sorted(self._backlog):
             bucket = self._buckets[w]
@@ -280,13 +229,11 @@ class ReadyFrontier:
             if take < len(bucket):
                 starved.add(w)
             if take:
-                pairs = [bucket.popleft() for _ in range(take)]
+                taken.append((w, [bucket.popleft() for _ in range(take)]))
                 self._len -= take
-                for i in range(0, take, chunk):
-                    batches.append((w, pairs[i : i + chunk]))
             if not bucket:
                 self._backlog.discard(w)
-        return batches, starved
+        return taken, starved
 
     def __len__(self) -> int:
         return self._len

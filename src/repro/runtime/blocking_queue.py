@@ -17,8 +17,7 @@ need:
   still delivered (close-then-drain), so no ready pair is ever lost.
 * **Batched dequeue.**  :meth:`BlockingQueue.get_many` blocks for the
   first item and then drains up to a bound more in the same critical
-  section — the low-contention commit path dequeues a whole batch per
-  wake-up instead of paying one lock round-trip per pair.
+  section, never waiting to fill the batch.
 
 Statistics (:attr:`total_enqueued`, :attr:`total_dequeued`,
 :attr:`max_depth`, :attr:`blocked_gets`) feed the engine's run report.

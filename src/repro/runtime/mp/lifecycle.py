@@ -141,21 +141,11 @@ class ProcessWorkerPool:
             process.start()
         self._started = True
 
-    def submit(
-        self, v: int, frame: bytes, traffic_class: str = "tasks"
-    ) -> None:
-        """Send a task frame to vertex *v*'s worker.
-
-        *traffic_class* attributes the frame's bytes (``"tasks"`` for a
-        single :class:`~.protocol.TaskMsg`, ``"task_batches"`` for a
-        :class:`~.protocol.TaskBatch`)."""
-        self.wire.count(traffic_class, frame)
-        self._task_queues[self.worker_of(v)].put(frame)
-
     def submit_to_worker(
         self, worker_id: int, frame: bytes, traffic_class: str
     ) -> None:
-        """Send a frame straight to *worker_id*'s task queue."""
+        """Send a frame to *worker_id*'s task queue, metering its bytes
+        under *traffic_class*."""
         self.wire.count(traffic_class, frame)
         self._task_queues[worker_id].put(frame)
 
@@ -163,7 +153,7 @@ class ProcessWorkerPool:
         """Next worker message within *timeout* seconds, or ``None``.
 
         The frame's bytes are metered under the class of the *decoded*
-        message (results / result_batches / final_state), so every
+        message (results / final_state), so every
         received byte lands in exactly one class."""
         try:
             frame = self.result_queue.get(timeout=timeout)
@@ -236,7 +226,7 @@ class ProcessWorkerPool:
                 continue
             if isinstance(msg, FinalStateMsg):
                 finals[msg.worker_id] = msg
-            # Stale ResultMsg frames from an aborted run are drained and
+            # Stale result frames from an aborted run are drained and
             # dropped here; crash messages surface as missing finals.
         self._join_all(max(0.0, deadline - time.monotonic()) + 1.0)
         return finals

@@ -4,35 +4,21 @@ Everything that crosses a process boundary is one of the message types
 below, pickled into a bytes frame by :func:`encode` and restored by
 :func:`decode`:
 
-* :class:`TaskMsg` — coordinator -> worker: execute one vertex-phase
-  pair.  Carries the *prepared* context snapshot (latched inputs, the
-  changed set, successor names, and the external phase payload), never
-  live engine objects, so a frame is self-contained and replayable.
-* :class:`TaskBatch` — coordinator -> worker: several :class:`TaskMsg`
-  in one frame (the ``ipc_batch > 1`` dispatch path).  One frame costs
-  one pickle header and one queue round trip regardless of how many
-  tasks it carries, and values repeated across the batch (latched inputs
-  that did not change, successor tuples) are pickled once and
+* :class:`RunMsg` — coordinator -> worker: a claimed run (v, [p..p+k])
+  from :meth:`~repro.core.state.SchedulerState.claim_run`; a single
+  pair is a run of length 1.  The vertex id, name and successor tuple
+  ride the frame once; each :class:`RunMember` carries only the
+  per-phase payload (phase, latched inputs, changed set, external
+  input) of a *prepared* context snapshot, never live engine objects,
+  so a frame is self-contained and replayable.  Values repeated across
+  members (latched inputs that did not change) are pickled once and
   back-referenced — see :class:`Interner`.
-* :class:`RunMsg` — coordinator -> worker: a *temporally coalesced* run
-  (v, [p..p+k]) claimed via
-  :meth:`~repro.core.state.SchedulerState.claim_run`.  The vertex id,
-  name and successor tuple ride the frame once; each
-  :class:`RunMember` carries only the per-phase payload (phase, latched
-  inputs, changed set, external input).  The worker expands the run to
-  per-member tasks **in phase order** with :func:`tasks_from_run` and
-  answers with an ordinary :class:`ResultBatch`, so mid-run faults reuse
-  the skip-after-error salvage path unchanged: the failing member's
-  phase is attributed exactly and the unexecuted tail is reported in
-  ``skipped``.  A :class:`TaskBatch` may mix :class:`TaskMsg` and
-  :class:`RunMsg` entries.
-* :class:`ResultMsg` — worker -> coordinator: one pair's outputs and
-  records, or the vertex failure that occurred instead.
-* :class:`ResultBatch` — worker -> coordinator: the results of one
-  :class:`TaskBatch`, in task order.  When a task fails, the batch
-  carries every result produced *before* the failure, the error result
-  itself, and the ``(vertex, phase)`` pairs that were skipped, so the
-  coordinator can commit the survivors before surfacing the error.
+* :class:`ResultBatch` — worker -> coordinator: the run's results, one
+  :class:`ResultMsg` per executed member, in phase order.  When a member
+  fails, the batch carries every result produced *before* the failure,
+  the error result itself, and the ``(vertex, phase)`` pairs that were
+  skipped, so the coordinator can commit the survivors before surfacing
+  the error.
 * :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
   ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
   carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per cached
@@ -57,13 +43,11 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ...core.vertex import VertexContext
 
 __all__ = [
-    "TaskMsg",
-    "TaskBatch",
     "RunMember",
     "RunMsg",
     "ResultMsg",
@@ -73,27 +57,12 @@ __all__ = [
     "WorkerCrashMsg",
     "encode",
     "decode",
-    "task_from_context",
-    "context_from_task",
     "run_from_contexts",
-    "tasks_from_run",
+    "context_from_member",
     "traffic_class_of",
     "Interner",
     "WireStats",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class TaskMsg:
-    """Execute pair ``(vertex, phase)`` against the snapshotted context."""
-
-    vertex: int
-    name: str
-    phase: int
-    inputs: Dict[str, Any]
-    changed: Tuple[str, ...]
-    successors: Tuple[str, ...]
-    phase_input: Any = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,8 +78,10 @@ class RunMember:
 
 @dataclass(frozen=True, slots=True)
 class RunMsg:
-    """A temporally coalesced run (v, [p..p+k]): members execute
-    back-to-back worker-side, in the order given (ascending phase)."""
+    """A claimed run (v, [p..p+k]): members execute back-to-back
+    worker-side, in the order given (ascending phase).  A zero-member
+    run is legal on the wire (the worker answers with an empty
+    :class:`ResultBatch`); the engine never sends one."""
 
     vertex: int
     name: str
@@ -119,22 +90,8 @@ class RunMsg:
 
 
 @dataclass(frozen=True, slots=True)
-class TaskBatch:
-    """Several tasks for one worker in one frame, executed in order.
-
-    Entries may be single-pair :class:`TaskMsg` frames or coalesced
-    :class:`RunMsg` frames; the worker expands runs to per-member tasks
-    in place.  A zero-length batch is legal on the wire (the worker
-    answers with a zero-length :class:`ResultBatch`); the engine never
-    sends one.
-    """
-
-    tasks: Tuple[Union[TaskMsg, RunMsg], ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
 class ResultMsg:
-    """One executed pair: outputs + records, or the vertex error.
+    """One executed run member: outputs + records, or the vertex error.
 
     ``error`` is ``None`` on success, else the stringified vertex failure
     (the coordinator re-raises it as
@@ -160,13 +117,13 @@ class ResultMsg:
 
 @dataclass(frozen=True, slots=True)
 class ResultBatch:
-    """The results of one :class:`TaskBatch`, in task order.
+    """The results of one :class:`RunMsg`, in member order.
 
-    ``skipped`` lists the ``(vertex, phase)`` pairs of tasks that were
-    *not* executed because an earlier task in the batch failed (their
-    results would be discarded by the coordinator's error path anyway).
-    Results that precede an error entry are the batch's survivors: the
-    coordinator commits them before re-raising the error.
+    ``skipped`` lists the ``(vertex, phase)`` pairs of members that were
+    *not* executed because an earlier member failed (their results
+    would be discarded by the coordinator's error path anyway).  Results
+    that precede an error entry are the run's survivors: the coordinator
+    commits them before re-raising the error.
     """
 
     worker_id: int
@@ -227,6 +184,9 @@ def decode(frame: bytes) -> object:
     return pickle.loads(frame)
 
 
+_MISSING = object()  # interner miss sentinel (a stored value may be None)
+
+
 class Interner:
     """Canonicalise repeated equal values so one frame pickles them once.
 
@@ -237,7 +197,7 @@ class Interner:
     never alias), so repeated message values — latched inputs that did
     not change between phases, successor tuples, recurring outputs —
     become identical objects and collapse to memo references inside a
-    :class:`TaskBatch` / :class:`ResultBatch` frame.
+    :class:`RunMsg` / :class:`ResultBatch` frame.
 
     Unhashable values pass through untouched.  The table is bounded in
     *both* dimensions — entry count and retained bytes — because a long
@@ -276,10 +236,10 @@ class Interner:
     def intern(self, value: Any) -> Any:
         try:
             key = (type(value), value)
-            canonical = self._table.get(key)
+            canonical = self._table.get(key, _MISSING)
         except TypeError:  # unhashable: pass through
             return value
-        if canonical is not None:
+        if canonical is not _MISSING:
             self.hits += 1
             return canonical
         size = sys.getsizeof(value)
@@ -310,47 +270,6 @@ class Interner:
         }
 
 
-def task_from_context(
-    v: int, p: int, ctx: VertexContext, interner: Optional[Interner] = None
-) -> TaskMsg:
-    """Snapshot a prepared context into a task frame (coordinator side).
-
-    With an *interner*, input values, the successor tuple and the phase
-    payload are canonicalised so repeats across a batch pickle as memo
-    back-references.
-    """
-    if interner is None:
-        inputs = dict(ctx.inputs)
-        successors: Tuple[str, ...] = tuple(ctx._successors)
-        phase_input = ctx.phase_input
-    else:
-        intern = interner.intern
-        inputs = {k: intern(val) for k, val in ctx.inputs.items()}
-        successors = intern(tuple(ctx._successors))
-        phase_input = intern(ctx.phase_input)
-    return TaskMsg(
-        vertex=v,
-        name=ctx.name,
-        phase=p,
-        inputs=inputs,
-        changed=tuple(sorted(ctx.changed)),
-        successors=successors,
-        phase_input=phase_input,
-    )
-
-
-def context_from_task(task: TaskMsg) -> VertexContext:
-    """Rebuild the execution context from a task frame (worker side)."""
-    return VertexContext(
-        name=task.name,
-        phase=task.phase,
-        inputs=task.inputs,
-        changed=set(task.changed),
-        successors=list(task.successors),
-        phase_input=task.phase_input,
-    )
-
-
 def run_from_contexts(
     v: int,
     prepared: Sequence[Tuple[int, VertexContext]],
@@ -366,63 +285,48 @@ def run_from_contexts(
     if not prepared:
         raise ValueError("run_from_contexts: empty member list")
     head = prepared[0][1]
-    if interner is None:
-        successors: Tuple[str, ...] = tuple(head._successors)
-        members = tuple(
-            RunMember(
-                phase=p,
-                inputs=dict(ctx.inputs),
-                changed=tuple(sorted(ctx.changed)),
-                phase_input=ctx.phase_input,
-            )
-            for p, ctx in prepared
+    intern = interner.intern if interner is not None else _identity
+    members = tuple(
+        RunMember(
+            phase=p,
+            inputs={k: intern(val) for k, val in ctx.inputs.items()},
+            changed=intern(tuple(sorted(ctx.changed))),
+            phase_input=intern(ctx.phase_input),
         )
-    else:
-        intern = interner.intern
-        successors = intern(tuple(head._successors))
-        members = tuple(
-            RunMember(
-                phase=p,
-                inputs={k: intern(val) for k, val in ctx.inputs.items()},
-                changed=intern(tuple(sorted(ctx.changed))),
-                phase_input=intern(ctx.phase_input),
-            )
-            for p, ctx in prepared
-        )
+        for p, ctx in prepared
+    )
     return RunMsg(
-        vertex=v, name=head.name, successors=successors, members=members
+        vertex=v,
+        name=head.name,
+        successors=intern(tuple(head._successors)),
+        members=members,
     )
 
 
-def tasks_from_run(run: RunMsg) -> List[TaskMsg]:
-    """Expand a run frame to per-member tasks, in frame (phase) order
-    (worker side).  Each expanded task is indistinguishable from a
-    single-pair :class:`TaskMsg`, so the worker loop's execute /
-    skip-after-error salvage machinery applies unchanged."""
-    return [
-        TaskMsg(
-            vertex=run.vertex,
-            name=run.name,
-            phase=m.phase,
-            inputs=m.inputs,
-            changed=m.changed,
-            successors=run.successors,
-            phase_input=m.phase_input,
-        )
-        for m in run.members
-    ]
+def _identity(value: Any) -> Any:
+    return value
+
+
+def context_from_member(run: RunMsg, member: RunMember) -> VertexContext:
+    """Rebuild one member's execution context from a run frame (worker
+    side)."""
+    return VertexContext(
+        name=run.name,
+        phase=member.phase,
+        inputs=member.inputs,
+        changed=set(member.changed),
+        successors=list(run.successors),
+        phase_input=member.phase_input,
+    )
 
 
 def traffic_class_of(msg: object) -> str:
     """The :class:`WireStats` class of a decoded worker->coordinator
     message (the coordinator->worker classes are chosen at the send
     site, where the type is statically known)."""
-    if isinstance(msg, ResultBatch):
-        return "result_batches"
     if isinstance(msg, FinalStateMsg):
         return "final_state"
-    # ResultMsg and WorkerCrashMsg share the single-result class, as in
-    # the PR-3 wire path.
+    # ResultBatch and WorkerCrashMsg share the result class.
     return "results"
 
 
@@ -430,27 +334,14 @@ class WireStats:
     """Byte and message counters per traffic class (coordinator side).
 
     Classes: ``warmup`` (behaviour blobs shipped at spawn), ``tasks``
-    (single-task frames), ``task_batches`` (:class:`TaskBatch` frames),
-    ``runs`` (coalesced :class:`RunMsg` frames sent alone), ``results``
-    (single-result frames, incl. crash reports), ``result_batches``
-    (:class:`ResultBatch` frames), ``final_state`` (shutdown replies),
+    (:class:`RunMsg` frames), ``results`` (:class:`ResultBatch` frames,
+    incl. crash reports), ``final_state`` (shutdown replies),
     ``shutdown`` (the drain requests).  Every frame that crosses a queue
-    is counted under exactly one class — a run inside a
-    :class:`TaskBatch` counts under ``task_batches`` — so
-    ``total_bytes`` equals the actual pipe traffic plus the spawn-time
-    warmup blobs.
+    is counted under exactly one class, so ``total_bytes`` equals the
+    actual pipe traffic plus the spawn-time warmup blobs.
     """
 
-    CLASSES = (
-        "warmup",
-        "tasks",
-        "task_batches",
-        "runs",
-        "results",
-        "result_batches",
-        "final_state",
-        "shutdown",
-    )
+    CLASSES = ("warmup", "tasks", "results", "final_state", "shutdown")
 
     def __init__(self) -> None:
         self.bytes: Dict[str, int] = {c: 0 for c in self.CLASSES}

@@ -9,24 +9,24 @@ exactly as it would in the serial oracle, with no state round-tripping
 per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
-sections removed: dequeue a task (or a :class:`~.protocol.TaskBatch`),
-execute the behaviour against the shipped context snapshot, send back
-outputs + records.  A batch executes in order and answers with one
-:class:`~.protocol.ResultBatch`; output values recurring across the
-batch are interned so the reply frame pickles them once.  All
-scheduling-set bookkeeping stays coordinator-side, under the
-coordinator's lock.
+sections removed: dequeue a :class:`~.protocol.RunMsg`, execute its
+members in phase order against the shipped context snapshots, and answer
+with one :class:`~.protocol.ResultBatch` of outputs + records; output
+values recurring across the run are interned so the reply frame pickles
+them once.  All scheduling-set bookkeeping stays coordinator-side, under
+the coordinator's lock.
 
 At startup the worker snapshots each behaviour's spawn-time state; the
 shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
 payloads against those baselines, so re-synchronising the coordinator
 costs bytes proportional to what actually changed.
 
-A vertex exception becomes an error :class:`~.protocol.ResultMsg` (the
-coordinator re-raises it as
+A vertex exception becomes an error :class:`~.protocol.ResultMsg` entry
+and the run's remaining members are reported as skipped (the coordinator
+commits the survivors, then re-raises the error as
 :class:`~repro.errors.VertexExecutionError`); a failure of the loop
-itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a batch
-reply fails to pickle, the worker salvages it result-by-result — the
+itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a reply
+fails to pickle, the worker salvages it result-by-result — the
 poisoned result degrades to an error entry, the survivors still ship and
 commit.  Either way the worker keeps draining its task queue until told
 to shut down, so the coordinator never blocks on a dead letter.
@@ -39,21 +39,18 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ...core.ports import stable_equal
 from ...core.vertex import Vertex
-from ...errors import VertexExecutionError
 from .protocol import (
     FinalStateMsg,
     Interner,
     ResultBatch,
     ResultMsg,
+    RunMember,
     RunMsg,
     ShutdownMsg,
-    TaskBatch,
-    TaskMsg,
     WorkerCrashMsg,
-    context_from_task,
+    context_from_member,
     decode,
     encode,
-    tasks_from_run,
 )
 
 __all__ = ["worker_main"]
@@ -105,51 +102,38 @@ class _SuppressFilter:
 def _execute(
     worker_id: int,
     behaviors: Dict[str, Vertex],
-    task: TaskMsg,
-    interner: Interner | None = None,
+    run: RunMsg,
+    member: RunMember,
+    interner: Interner,
     suppress_filter: "_SuppressFilter | None" = None,
 ) -> ResultMsg:
-    ctx = context_from_task(task)
+    ctx = context_from_member(run, member)
     started = time.perf_counter()
     try:
-        behavior = behaviors[task.name]
+        behavior = behaviors[run.name]
         returned = behavior.on_execute(ctx)
         ctx.finish(returned)
-    except VertexExecutionError as exc:
-        return ResultMsg(
-            worker_id=worker_id,
-            vertex=task.vertex,
-            phase=task.phase,
-            error=str(exc),
-            compute_s=time.perf_counter() - started,
-        )
     except Exception as exc:  # noqa: BLE001 - becomes VertexExecutionError
         return ResultMsg(
             worker_id=worker_id,
-            vertex=task.vertex,
-            phase=task.phase,
-            error=f"{exc}",
+            vertex=run.vertex,
+            phase=member.phase,
+            error=str(exc),
             compute_s=time.perf_counter() - started,
         )
     raw_outputs = dict(ctx.outputs)
     suppressed: Tuple[str, ...] = ()
     if suppress_filter is not None:
         raw_outputs, suppressed = suppress_filter.filter(
-            task.name, raw_outputs
+            run.name, raw_outputs
         )
-    if interner is None:
-        outputs = raw_outputs
-        records = tuple(ctx.records)
-    else:
-        intern = interner.intern
-        outputs = {k: intern(v) for k, v in raw_outputs.items()}
-        records = tuple(intern(r) for r in ctx.records)
+    intern = interner.intern
     return ResultMsg(
         worker_id=worker_id,
-        vertex=task.vertex,
-        phase=task.phase,
-        outputs=outputs,
-        records=records,
+        vertex=run.vertex,
+        phase=member.phase,
+        outputs={k: intern(v) for k, v in raw_outputs.items()},
+        records=tuple(intern(r) for r in ctx.records),
         compute_s=time.perf_counter() - started,
         suppressed=suppressed,
     )
@@ -177,7 +161,7 @@ def _encode_result_batch(
     results: List[ResultMsg],
     skipped: List[Tuple[int, int]],
 ) -> bytes:
-    """Encode a batch reply, salvaging survivors if pickling fails.
+    """Encode a run's reply, salvaging survivors if pickling fails.
 
     A result whose outputs do not pickle would poison the whole frame;
     instead each unpicklable result is downgraded **in place** to an
@@ -277,51 +261,28 @@ def worker_main(
                     )
                 )
                 return
-            if isinstance(msg, (TaskBatch, RunMsg)):
-                # A coalesced run expands to its per-member tasks in
-                # phase order, whether it arrived alone or inside a
-                # batch; the skip-after-error rule below then gives
-                # mid-run fault salvage for free (the failing member's
-                # phase is attributed exactly, the unexecuted tail is
-                # reported in ``skipped`` for coordinator requeue).
-                entries = (
-                    msg.tasks if isinstance(msg, TaskBatch) else (msg,)
+            # Members execute in phase order.  After a failure the rest
+            # of the run is reported in ``skipped`` (for coordinator
+            # requeue) and never advances this worker's state, so the
+            # failing member's phase is attributed exactly.
+            results: List[ResultMsg] = []
+            skipped: List[Tuple[int, int]] = []
+            for member in msg.members:
+                if results and results[-1].error is not None:
+                    skipped.append((msg.vertex, member.phase))
+                    continue
+                result = _execute(
+                    worker_id,
+                    behaviors,
+                    msg,
+                    member,
+                    interner,
+                    suppress_filter,
                 )
-                results: List[ResultMsg] = []
-                skipped: List[Tuple[int, int]] = []
-                for entry in entries:
-                    tasks = (
-                        tasks_from_run(entry)
-                        if isinstance(entry, RunMsg)
-                        else (entry,)
-                    )
-                    for task in tasks:
-                        if results and results[-1].error is not None:
-                            # An earlier task failed: its successors in
-                            # the batch must not advance this worker's
-                            # state.
-                            skipped.append((task.vertex, task.phase))
-                            continue
-                        result = _execute(
-                            worker_id,
-                            behaviors,
-                            task,
-                            interner,
-                            suppress_filter,
-                        )
-                        busy_s += result.compute_s
-                        executed += 1
-                        results.append(result)
-                result_queue.put(
-                    _encode_result_batch(worker_id, results, skipped)
-                )
-                continue
-            result = _execute(
-                worker_id, behaviors, msg, suppress_filter=suppress_filter
-            )
-            busy_s += result.compute_s
-            executed += 1
-            result_queue.put(encode(result))
+                busy_s += result.compute_s
+                executed += 1
+                results.append(result)
+            result_queue.put(_encode_result_batch(worker_id, results, skipped))
     except (KeyboardInterrupt, SystemExit):  # terminate() / Ctrl-C paths
         raise
     except BaseException as exc:  # noqa: BLE001 - reported to coordinator

@@ -169,9 +169,6 @@ class ServeConfig:
     engine: str = "parallel"
     threads: int = 2
     workers: int = 2
-    batch_size: int = 1
-    ipc_batch: int = 1
-    window: Optional[int] = None
     fuse: bool = True
     frontier: str = "cone"
     run_length: Optional[int] = None  # temporal coalescing cap (1 = off)
@@ -271,7 +268,6 @@ class ServeSession:
                 self.plan,
                 num_threads=cfg.threads,
                 env=env,
-                batch_size=cfg.batch_size,
                 frontier=cfg.frontier,
                 run_length=cfg.run_length,
                 join_timeout=cfg.join_timeout,
@@ -282,9 +278,6 @@ class ServeSession:
             self.plan,
             num_workers=cfg.workers,
             env=env,
-            batch_size=cfg.batch_size,
-            ipc_batch=cfg.ipc_batch,
-            window=cfg.window,
             frontier=cfg.frontier,
             run_length=cfg.run_length,
             join_timeout=cfg.join_timeout,

@@ -199,7 +199,6 @@ class ShardedEngine:
             return ParallelEngine(
                 plan,
                 num_threads=opts.get("threads", 2),
-                batch_size=opts.get("batch_size", 1),
                 frontier=self.frontier,
             ).run(phases)
         if self.engine == "process":
@@ -208,10 +207,7 @@ class ShardedEngine:
             return ProcessEngine(
                 plan,
                 num_workers=opts.get("workers", 2),
-                batch_size=opts.get("batch_size", 1),
                 start_method=opts.get("start_method"),
-                ipc_batch=opts.get("ipc_batch", 1),
-                window=opts.get("window") or None,
                 frontier=self.frontier,
             ).run(phases)
         from ..simulator import CostModel, SimulatedEngine

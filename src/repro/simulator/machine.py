@@ -16,10 +16,11 @@ prediction by sweeping workers = processors with a coarse compute grain.
 Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
 
 * **worker**: block on the run queue (no CPU while blocked) → optional
-  dequeue burst → *locked* prepare burst → compute burst (CPU but no
-  lock — this is where parallelism happens) → *locked* commit +
-  bookkeeping burst (deliver messages, ``complete_execution``, enqueue
-  newly ready pairs).
+  dequeue burst → *locked* prepare burst (claim the pair's run and
+  prepare its members; a run of one under the global frontier) →
+  compute burst over the members (CPU but no lock — this is where
+  parallelism happens) → *locked* commit + bookkeeping burst (deliver
+  messages, ``complete_executions``, enqueue newly ready pairs).
 * **environment**: per phase, a *locked* phase-start burst, then an
   optional unscheduled sleep (``env_interval``).
 
@@ -87,7 +88,7 @@ class SimulatedEngine:
         the published workloads, so its figures stay pinned; the CLI and
         the differential campaign pass the knob explicitly.
     run_length:
-        Temporal run coalescing cap (see
+        Cap on the run claimed per dequeued pair (see
         :meth:`~repro.core.state.SchedulerState.claim_run`).  ``None``
         is adaptive under the cone frontier; under ``"global"`` the knob
         is pinned to 1, so the default simulator figures stay byte
@@ -259,7 +260,7 @@ class SimulatedEngine:
             return sum(cm.vertex_cost(member, mp) for member in trace.members)
 
         def finish_commit(newly_ready: List[Tuple[int, int]]) -> None:
-            # Shared commit tail (runs under the bookkeeping lock burst).
+            # Commit tail (runs under the bookkeeping lock burst).
             for pair in newly_ready:
                 if tracer is not None:
                     tracer.enqueued(pair)
@@ -293,76 +294,39 @@ class SimulatedEngine:
 
                 holder: Dict[str, Any] = {}
 
-                if run_cap != 1:
-                    # Run-coalescing path: claim and prepare the whole
-                    # run in one locked prepare burst, execute its
-                    # members back-to-back on one processor grant, then
-                    # commit them all in one bookkeeping burst.
-                    def do_prepare_run() -> None:
-                        members = [
-                            (v, q) for q in state.claim_run(v, p, run_cap)
-                        ]
-                        holder["members"] = members
-                        holder["ctxs"] = [
-                            runtime.prepare(mv, mp) for mv, mp in members
-                        ]
-
-                    yield from locked_burst(cm.prepare_cost, do_prepare_run)
-
-                    yield procs.request()
-                    for (mv, mp), ctx in zip(
-                        holder["members"], holder["ctxs"]
-                    ):
-                        if tracer is not None:
-                            tracer.execute_begin((mv, mp), worker_id)
-                        runtime.compute(mv, ctx)
-                        duration = member_cost(mv, mp, ctx)
-                        if duration > 0:
-                            yield sim.timeout(duration)
-                        if tracer is not None:
-                            tracer.execute_end((mv, mp), worker_id)
-                    procs.release()
-
-                    def do_commit_run() -> None:
-                        completed = []
-                        for (mv, mp), ctx in zip(
-                            holder["members"], holder["ctxs"]
-                        ):
-                            completed.append(
-                                (mv, mp, runtime.commit(mv, mp, ctx))
-                            )
-                            executions.append((mv, mp))
-                            per_worker[worker_id] += 1
-                        finish_commit(state.complete_executions(completed))
-
-                    yield from locked_burst(
-                        cm.bookkeeping_cost, do_commit_run
-                    )
-                    continue
-
+                # Claim and prepare the whole run in one locked prepare
+                # burst, execute its members back-to-back on one
+                # processor grant, then commit them all in one
+                # bookkeeping burst.
                 def do_prepare() -> None:
-                    holder["ctx"] = runtime.prepare(v, p)
+                    members = [(v, q) for q in state.claim_run(v, p, run_cap)]
+                    holder["members"] = members
+                    holder["ctxs"] = [
+                        runtime.prepare(mv, mp) for mv, mp in members
+                    ]
 
                 yield from locked_burst(cm.prepare_cost, do_prepare)
 
                 # Compute: the parallel region.
                 yield procs.request()
-                if tracer is not None:
-                    tracer.execute_begin((v, p), worker_id)
-                runtime.compute(v, holder["ctx"])
-                duration = member_cost(v, p, holder["ctx"])
-                if duration > 0:
-                    yield sim.timeout(duration)
-                if tracer is not None:
-                    tracer.execute_end((v, p), worker_id)
+                for (mv, mp), ctx in zip(holder["members"], holder["ctxs"]):
+                    if tracer is not None:
+                        tracer.execute_begin((mv, mp), worker_id)
+                    runtime.compute(mv, ctx)
+                    duration = member_cost(mv, mp, ctx)
+                    if duration > 0:
+                        yield sim.timeout(duration)
+                    if tracer is not None:
+                        tracer.execute_end((mv, mp), worker_id)
                 procs.release()
 
                 def do_commit() -> None:
-                    targets = runtime.commit(v, p, holder["ctx"])
-                    newly_ready = state.complete_execution(v, p, targets)
-                    executions.append((v, p))
-                    per_worker[worker_id] += 1
-                    finish_commit(newly_ready)
+                    completed = []
+                    for (mv, mp), ctx in zip(holder["members"], holder["ctxs"]):
+                        completed.append((mv, mp, runtime.commit(mv, mp, ctx)))
+                        executions.append((mv, mp))
+                        per_worker[worker_id] += 1
+                    finish_commit(state.complete_executions(completed))
 
                 yield from locked_burst(cm.bookkeeping_cost, do_commit)
 

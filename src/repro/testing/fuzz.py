@@ -363,7 +363,6 @@ def run_one(
     policy: SchedulingPolicy,
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
-    batch_size: int = 1,
     fuse: bool = False,
     frontier: str = "cone",
     suppress: bool = False,
@@ -371,9 +370,8 @@ def run_one(
 ) -> RunOutcome:
     """Run *spec* serially (oracle) and under *policy*; judge the result.
 
-    *batch_size* > 1 explores the batched commit path: the engine drains
-    and commits up to that many pairs per worker wake-up, still judged
-    against the same serial oracle and invariant monitor.  *fuse* compiles
+    The engine runs under the invariant monitor and is judged against
+    the serial oracle.  *fuse* compiles
     the workload with linear-chain fusion before the engine runs it — the
     oracle always executes the *unfused* program, so the judgement is
     exactly the tentpole correctness bar: a fused parallel run must be
@@ -384,8 +382,9 @@ def run_one(
     with change suppression on (build the spec with ``suppress=True`` so
     elision is reachable); the judgement switches to the elision-aware
     check — records must still equal the *unsuppressed* oracle's exactly.
-    *run_length* sets the temporal run coalescing cap (default 1: off —
-    the historical campaign; ``None`` is adaptive).
+    *run_length* sets the temporal run coalescing cap (default 1: every
+    claimed run is one pair — the paper's schedule under ``"global"``;
+    ``None`` is adaptive).
     """
     program, phases = spec.build()
     serial = SerialExecutor(program).run(phases)
@@ -400,7 +399,6 @@ def run_one(
         env=EnvironmentConfig(),
         backend=VirtualBackend(scheduler),
         faults=faults,
-        batch_size=batch_size,
         frontier=frontier,
         suppress=suppress,
         run_length=run_length,
@@ -467,7 +465,6 @@ class FuzzFailure:
     reason: str
     trace_names: List[str]
     shrunk_spec: Optional[WorkloadSpec] = None
-    batch_size: int = 1
     fuse: bool = False
     frontier: str = "cone"
     suppress: bool = False
@@ -480,9 +477,8 @@ class FuzzFailure:
             f"{self.master_seed}):",
             f"  workload: {self.spec.describe()}",
             f"  policy:   {self.policy_name}(seed={self.policy_seed})",
-            f"  batch:    {self.batch_size}"
-            + ("  (fused plan)" if self.fuse else ""),
             f"  frontier: {self.frontier}"
+            + ("  (fused plan)" if self.fuse else "")
             + ("  (suppression on)" if self.suppress else "")
             + (
                 f"  (run-length {self.run_length or 'adaptive'})"
@@ -514,7 +510,6 @@ class FuzzFailure:
             "spec": asdict(self.spec),
             "policy_name": self.policy_name,
             "policy_seed": self.policy_seed,
-            "batch_size": self.batch_size,
             "fuse": self.fuse,
             "frontier": self.frontier,
             "suppress": self.suppress,
@@ -581,7 +576,6 @@ def fuzz(
     max_vertices: int = 8,
     max_phases: int = 6,
     max_steps: int = 250_000,
-    batch_size: int = 1,
     fuse: bool = False,
     frontier: str = "cone",
     skew: bool = False,
@@ -592,8 +586,7 @@ def fuzz(
 
     Policies rotate per run; each run's policy seed and workload derive
     from ``(seed, run index)``, so the campaign is reproducible and any
-    single run can be replayed in isolation.  *batch_size* runs the
-    campaign over the batched commit path; *fuse* runs it over fused
+    single run can be replayed in isolation.  *fuse* runs it over fused
     execution plans (oracle stays unfused); *frontier* selects the
     readiness rule and is recorded on every failure so replays are exact;
     *skew* artificially slows one seeded vertex per phase (see
@@ -614,7 +607,7 @@ def fuzz(
         policy_seed = random.Random(f"policy:{seed}:{i}").randrange(2**31)
         outcome = run_one(
             spec, make_policy(policy_name, policy_seed), faults, max_steps,
-            batch_size=batch_size, fuse=fuse, frontier=frontier,
+            fuse=fuse, frontier=frontier,
             suppress=suppress, run_length=run_length,
         )
         hashes[outcome.trace_hash] = hashes.get(outcome.trace_hash, 0) + 1
@@ -629,7 +622,6 @@ def fuzz(
                 policy_seed=policy_seed,
                 reason=outcome.reason,
                 trace_names=outcome.trace_names,
-                batch_size=batch_size,
                 fuse=fuse,
                 frontier=frontier,
                 suppress=suppress,
@@ -638,7 +630,7 @@ def fuzz(
             if do_shrink:
                 failure.shrunk_spec = shrink(
                     spec, policy_name, policy_seed, faults, max_steps,
-                    batch_size=batch_size, fuse=fuse, frontier=frontier,
+                    fuse=fuse, frontier=frontier,
                     suppress=suppress, run_length=run_length,
                 )
             failures.append(failure)
@@ -662,19 +654,11 @@ def fuzz(
 def process_config_for_run(master_seed: int, index: int) -> Dict[str, object]:
     """Derive run *index*'s process-engine knobs from the master seed.
 
-    Sweeps the wire-path configuration space: worker count, commit batch
-    size, dispatch batch (``ipc_batch``) and credit window (fixed small,
-    fixed deep, or adaptive) — the knobs whose interaction with readiness
-    gating the campaign is meant to stress.
+    Sweeps the worker count, which sets the sticky vertex assignment
+    and how many credit windows compete for the ready backlog.
     """
     rs = random.Random(f"fuzz-process:{master_seed}:{index}")
-    ipc_batch = rs.choice([1, 2, 3, 8])
-    return {
-        "workers": rs.randint(1, 3),
-        "batch_size": rs.choice([1, 4]),
-        "ipc_batch": ipc_batch,
-        "window": rs.choice([None, 1, 2, 4 * ipc_batch]),
-    }
+    return {"workers": rs.randint(1, 3)}
 
 
 def run_one_process(
@@ -706,8 +690,7 @@ def run_one_process(
         name: beh.snapshot_state() for name, beh in program.behaviors.items()
     }
     desc = (
-        f"process[w={config['workers']},b={config['batch_size']},"
-        f"ipc={config['ipc_batch']},win={config['window']},"
+        f"process[w={config['workers']},"
         f"{start_method},{frontier}{',fused' if fuse else ''}"
         f"{',suppress' if suppress else ''}"
         f"{'' if run_length == 1 else f',rl={run_length or chr(42)}'}]"
@@ -716,9 +699,6 @@ def run_one_process(
     engine = ProcessEngine(
         compile_plan(program, fuse=fuse),
         num_workers=int(config["workers"]),
-        batch_size=int(config["batch_size"]),
-        ipc_batch=int(config["ipc_batch"]),
-        window=config["window"],  # type: ignore[arg-type]
         start_method=start_method,
         frontier=frontier,
         suppress=suppress,
@@ -763,11 +743,10 @@ def fuzz_process(
     suppress: bool = False,
     run_length: Optional[int] = 1,
 ) -> FuzzReport:
-    """Explore *runs* random workloads across process wire-path configs.
+    """Explore *runs* random workloads across process-engine configs.
 
     Each run derives a workload (small graphs — every run pays real
-    process spawns) and a ``(workers, batch_size, ipc_batch, window)``
-    configuration from the master seed, runs it on the
+    process spawns) and a worker count from the master seed, runs it on the
     :class:`~repro.runtime.mp.ProcessEngine` and judges it against the
     serial oracle — results *and* final behaviour state.  Defaults to
     the ``spawn`` start method, the strictest pickling path.
@@ -796,7 +775,6 @@ def fuzz_process(
                     policy_seed=0,
                     reason=outcome.reason,
                     trace_names=[],
-                    batch_size=int(config["batch_size"]),
                     fuse=fuse,
                     frontier=frontier,
                     suppress=suppress,
@@ -823,7 +801,6 @@ def shrink(
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
     budget: int = 24,
-    batch_size: int = 1,
     fuse: bool = False,
     frontier: str = "cone",
     suppress: bool = False,
@@ -840,7 +817,7 @@ def shrink(
     def still_fails(candidate: WorkloadSpec) -> bool:
         outcome = run_one(
             candidate, make_policy(policy_name, policy_seed), faults, max_steps,
-            batch_size=batch_size, fuse=fuse, frontier=frontier,
+            fuse=fuse, frontier=frontier,
             suppress=suppress, run_length=run_length,
         )
         return not outcome.passed
@@ -885,14 +862,14 @@ def replay_failure(
     if exact:
         return run_one(
             failure.spec, ReplayPolicy(failure.trace_names), faults,
-            batch_size=failure.batch_size, fuse=failure.fuse,
+            fuse=failure.fuse,
             frontier=failure.frontier, suppress=failure.suppress,
             run_length=failure.run_length,
         )
     spec = failure.shrunk_spec or failure.spec
     return run_one(
         spec, make_policy(failure.policy_name, failure.policy_seed), faults,
-        batch_size=failure.batch_size, fuse=failure.fuse,
+        fuse=failure.fuse,
         frontier=failure.frontier, suppress=failure.suppress,
         run_length=failure.run_length,
     )

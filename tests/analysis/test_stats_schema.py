@@ -176,14 +176,43 @@ class TestCoalescingValidator:
         assert any("mean_run_length" in e for e in errors)
 
     def test_disabled_implies_no_runs(self):
-        # The run-length-1 dispatch paths never enter claim_run, so a
-        # disabled run reporting scheduled runs is a scheduler bug.
+        # Disabled means every claimed run is one pair: a disabled run
+        # reporting coalesced members (or longer runs) is a scheduler
+        # bug.
         section = _good_coalescing_section()
         section["enabled"] = False
         section["run_length_cap"] = 1
         errors = validate_coalescing_stats(section)
-        assert any("runs_scheduled" in e for e in errors)
         assert any("pairs_coalesced" in e for e in errors)
+        assert any("mean_run_length" in e for e in errors)
+
+    def test_disabled_accepts_single_pair_runs(self):
+        # Every dispatch enters claim_run, so a disabled cone run counts
+        # one run per dispatched pair (mean exactly 1.0); under the
+        # global frontier claim_run counts nothing (mean 0.0).
+        for runs, mean in ((12, 1.0), (0, 0.0)):
+            assert validate_coalescing_stats({
+                "enabled": False,
+                "run_length_cap": 1,
+                "runs_scheduled": runs,
+                "pairs_coalesced": 0,
+                "mean_run_length": mean,
+            }) == []
+
+    def test_engines_report_disabled_law(self):
+        from repro.runtime.engine import ParallelEngine
+        from repro.streams.workloads import grid_workload
+
+        prog, phases = grid_workload(3, 3, phases=8, seed=1)
+        for frontier, runs in (("cone", True), ("global", False)):
+            res = ParallelEngine(
+                prog, num_threads=2, frontier=frontier, run_length=1
+            ).run(phases)
+            section = res.stats["coalescing"]
+            assert validate_coalescing_stats(section) == []
+            assert section["enabled"] is False
+            assert section["pairs_coalesced"] == 0
+            assert section["mean_run_length"] == (1.0 if runs else 0.0)
 
     def test_rejects_unknown_keys(self):
         section = _good_coalescing_section()

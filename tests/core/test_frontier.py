@@ -7,8 +7,7 @@ from collections import deque
 
 import pytest
 
-from repro.core.state import ReadyFrontier, SchedulerState, drain_ready_batches
-from repro.errors import SchedulerError
+from repro.core.state import ReadyFrontier, SchedulerState
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
 
@@ -17,57 +16,68 @@ def sticky(v: int, workers: int = 2) -> int:
     return (v - 1) % workers
 
 
+def reference_drain(pending, assign, capacity):
+    """The contract of :meth:`ReadyFrontier.drain` as one naive FIFO
+    sweep over a single pending deque: route each pair to its sticky
+    worker, take at most ``capacity(w)`` per worker, leave the rest in
+    order, and report workers left starved for credit."""
+    taken, remaining, starved, leftover = {}, {}, set(), []
+    while pending:
+        pair = pending.popleft()
+        w = assign(pair[0])
+        remaining.setdefault(w, max(0, capacity(w)))
+        if remaining[w] <= 0:
+            starved.add(w)
+            leftover.append(pair)
+            continue
+        remaining[w] -= 1
+        taken.setdefault(w, []).append(pair)
+    pending.extend(leftover)
+    return taken, starved
+
+
 class TestReadyFrontier:
     def test_fifo_per_worker(self):
         f = ReadyFrontier(lambda v: sticky(v))
         f.push([(1, 1), (3, 1), (2, 1), (1, 2), (4, 1)])
-        batches, starved = f.drain(lambda w: 100, chunk=100)
+        taken, starved = f.drain(lambda w: 100)
         assert not starved
-        assert dict(batches) == {
-            0: [(1, 1), (3, 1), (1, 2)],
-            1: [(2, 1), (4, 1)],
-        }
+        assert taken == [
+            (0, [(1, 1), (3, 1), (1, 2)]),
+            (1, [(2, 1), (4, 1)]),
+        ]
         assert len(f) == 0 and not f
 
     def test_capacity_limits_and_starvation(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 1), (1, 2), (1, 3)])
-        batches, starved = f.drain(lambda w: 2, chunk=100)
-        assert batches == [(0, [(1, 1), (1, 2)])]
+        taken, starved = f.drain(lambda w: 2)
+        assert taken == [(0, [(1, 1), (1, 2)])]
         assert starved == {0}
         assert len(f) == 1
         # Leftovers keep their order on the next drain.
-        batches, starved = f.drain(lambda w: 2, chunk=100)
-        assert batches == [(0, [(1, 3)])] and not starved
-
-    def test_chunk_splits_batches(self):
-        f = ReadyFrontier(lambda v: 0)
-        f.push([(1, p) for p in range(1, 6)])
-        batches, _ = f.drain(lambda w: 100, chunk=2)
-        assert [len(pairs) for _, pairs in batches] == [2, 2, 1]
+        taken, starved = f.drain(lambda w: 2)
+        assert taken == [(0, [(1, 3)])] and not starved
 
     def test_push_front_preserves_relative_order(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 3)])
         f.push_front(0, [(1, 1), (1, 2)])
-        batches, _ = f.drain(lambda w: 100, chunk=100)
-        assert batches == [(0, [(1, 1), (1, 2), (1, 3)])]
+        taken, _ = f.drain(lambda w: 100)
+        assert taken == [(0, [(1, 1), (1, 2), (1, 3)])]
 
     def test_negative_capacity_treated_as_zero(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 1)])
-        batches, starved = f.drain(lambda w: -3, chunk=4)
-        assert batches == [] and starved == {0}
+        taken, starved = f.drain(lambda w: -3)
+        assert taken == [] and starved == {0}
         assert len(f) == 1
-
-    def test_chunk_must_be_positive(self):
-        f = ReadyFrontier(lambda v: 0)
-        with pytest.raises(SchedulerError):
-            f.drain(lambda w: 1, chunk=0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_equivalent_to_reference_drain(self, workers, chunk):
+        # *chunk* is the push granularity: the frontier is fed in slices,
+        # as the engines push each commit's newly ready pairs.
         import random
 
         rng = random.Random(workers * 31 + chunk)
@@ -77,30 +87,22 @@ class TestReadyFrontier:
         caps = {w: rng.randint(0, 6) for w in range(workers)}
 
         ref = deque(pairs)
-        ref_batches, ref_starved = drain_ready_batches(
-            ref, lambda v: sticky(v, workers), lambda w: caps[w], chunk
+        ref_taken, ref_starved = reference_drain(
+            ref, lambda v: sticky(v, workers), lambda w: caps[w]
         )
         f = ReadyFrontier(lambda v: sticky(v, workers))
-        f.push(pairs)
-        got_batches, got_starved = f.drain(lambda w: caps[w], chunk)
+        for i in range(0, len(pairs), chunk):
+            f.push(pairs[i : i + chunk])
+        got_taken, got_starved = f.drain(lambda w: caps[w])
 
         assert got_starved == ref_starved
-        # Same pairs to the same workers in the same per-worker order
-        # (cross-worker batch emission order is not part of the contract).
-        def by_worker(batches):
-            out = {}
-            for w, chunk_pairs in batches:
-                out.setdefault(w, []).extend(chunk_pairs)
-            return out
-
-        assert by_worker(got_batches) == by_worker(ref_batches)
+        # Same pairs to the same workers in the same per-worker order.
+        assert dict(got_taken) == ref_taken
         # Same leftovers, same order.
-        leftovers, _ = f.drain(lambda w: 10_000, chunk=10_000)
-        assert by_worker(leftovers) == by_worker(
-            drain_ready_batches(
-                ref, lambda v: sticky(v, workers), lambda w: 10_000, 10_000
-            )[0]
-        )
+        leftovers, _ = f.drain(lambda w: 10_000)
+        assert dict(leftovers) == reference_drain(
+            ref, lambda v: sticky(v, workers), lambda w: 10_000
+        )[0]
 
 
 def chain_state(n: int = 4) -> SchedulerState:

@@ -73,9 +73,10 @@ class TestVirtualEngineMatrix:
             )
 
     def test_batched_commit_path_cone(self):
+        # A claimed run of up to 4 members commits as one batch.
         for i, spec in enumerate(corpus(size=60)):
             outcome = run_one(
-                spec, policy_for(i), batch_size=4, frontier="cone"
+                spec, policy_for(i), frontier="cone", run_length=4
             )
             assert outcome.passed, (
                 f"spec {i} batched cone: {outcome.reason}"

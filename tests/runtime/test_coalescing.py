@@ -226,6 +226,46 @@ class TestVirtualEngineMatrix:
             assert base.trace_hash == pinned.trace_hash, f"spec {i}"
 
 
+# Trace hashes of run_one on the first 20 corpus specs, recorded before
+# the single-pair dispatch paths were folded into claim_run.  A pair is
+# a claimed run of length 1, so the paper's schedule (global frontier)
+# and the cone schedule at run_length=1 must replay step for step.
+PINNED_GLOBAL_HASHES = (
+    "e7fc7338b6842964", "dd611a4442a64143", "1b4303ad78300b95",
+    "57b0fa8de153ddf8", "8d65554b3926d1b3", "493efc0a685bb168",
+    "eae48b8e0bbb18a6", "7a95835d2637d8e0", "f77ab6d887ff1564",
+    "64b4157c0a69ccab", "2d67383ae4ad5676", "9ca43838d0d2ac20",
+    "d212feee70f3db6f", "495c828cc3fedef3", "62b96dfd197b6e32",
+    "47b8e97e82636821", "c9a59a6571ba3130", "6a67c6699068dbbb",
+    "f03b1844bdf31f2e", "277d0edf01c07095",
+)
+PINNED_CONE_RL1_HASHES = (
+    "e7fc7338b6842964", "dd611a4442a64143", "1b4303ad78300b95",
+    "57b0fa8de153ddf8", "8d65554b3926d1b3", "493efc0a685bb168",
+    "eae48b8e0bbb18a6", "7a95835d2637d8e0", "f77ab6d887ff1564",
+    "64b4157c0a69ccab", "2d67383ae4ad5676", "9ca43838d0d2ac20",
+    "d212feee70f3db6f", "495c828cc3fedef3", "06144283e1fc6eb0",
+    "47b8e97e82636821", "6a034a30e3954387", "6a67c6699068dbbb",
+    "f03b1844bdf31f2e", "277d0edf01c07095",
+)
+
+
+class TestPinnedSchedules:
+    @pytest.mark.parametrize("frontier,run_length,pinned", [
+        ("global", None, PINNED_GLOBAL_HASHES),
+        ("cone", 1, PINNED_CONE_RL1_HASHES),
+    ], ids=["global", "cone-rl1"])
+    def test_trace_hashes_match_pinned(self, frontier, run_length, pinned):
+        hashes = tuple(
+            run_one(
+                spec_for_run(CORPUS_SEED, i), policy_for(i),
+                frontier=frontier, run_length=run_length,
+            ).trace_hash
+            for i in range(20)
+        )
+        assert hashes == pinned
+
+
 class TestSuppressionInsideRuns:
     """Change suppression composed with coalescing: member commits run
     back-to-back, and each one updates the edge latch the *next* member's
@@ -456,7 +496,7 @@ class TestMidRunSalvage:
                     for p in range(1, 6)
                 ),
             )
-            pool.submit_to_worker(0, encode(run), "runs")
+            pool.submit_to_worker(0, encode(run), "tasks")
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
             assert [r.phase for r in msg.results] == [1, 2, 3]

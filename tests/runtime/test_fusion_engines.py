@@ -50,7 +50,7 @@ def oracle_and_plan(make):
 @pytest.mark.parametrize("make", WORKLOADS)
 def test_parallel_engine_fused_matches_oracle(make):
     program, phases, oracle, plan = oracle_and_plan(make)
-    result = ParallelEngine(plan, num_threads=3, batch_size=2).run(phases)
+    result = ParallelEngine(plan, num_threads=3, run_length=2).run(phases)
     report = check_serializable(oracle, result)
     assert report.equivalent, report
     if plan.fused:
@@ -74,7 +74,7 @@ def test_process_engine_fused_matches_oracle():
     from repro.runtime.mp import ProcessEngine
 
     result = ProcessEngine(
-        compile_plan(program), num_workers=2, ipc_batch=4
+        compile_plan(program), num_workers=2
     ).run(phases)
     report = check_serializable(oracle, result)
     assert report.equivalent, report
@@ -132,7 +132,7 @@ class TestFusedFuzzCampaigns:
 
     def test_thread_campaign_batched_and_fused(self):
         report = fuzz(
-            runs=15, seed=99, fuse=True, batch_size=3, do_shrink=False
+            runs=15, seed=99, fuse=True, run_length=3, do_shrink=False
         )
         assert report.ok, report.summary()
 

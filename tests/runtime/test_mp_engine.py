@@ -18,12 +18,11 @@ from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
     ResultMsg,
-    TaskMsg,
     WireStats,
-    context_from_task,
+    context_from_member,
     decode,
     encode,
-    task_from_context,
+    run_from_contexts,
 )
 from repro.streams.workloads import (
     cpu_heavy_workload,
@@ -46,10 +45,11 @@ class TestProtocol:
             successors=["v4", "v5"],
             phase_input=("tick", 7),
         )
-        task = task_from_context(3, 7, ctx)
-        clone = decode(encode(task))
-        assert clone == task
-        rebuilt = context_from_task(clone)
+        run = run_from_contexts(3, [(7, ctx)])
+        clone = decode(encode(run))
+        assert clone == run
+        (member,) = clone.members
+        rebuilt = context_from_member(clone, member)
         assert rebuilt.name == "v3"
         assert rebuilt.phase == 7
         assert rebuilt.inputs == {"v1": 1.5, "v2": "x"}
@@ -113,12 +113,13 @@ class TestBasicExecution:
         assert par.records == serial.records
 
     def test_batched_commits_match_oracle(self):
+        # Each run of up to 4 members commits as one batch.
         prog, phases = grid_workload(3, 3, phases=12, seed=5)
         serial = SerialExecutor(prog).run(phases)
-        par = ProcessEngine(prog, num_workers=2, batch_size=4).run(phases)
+        par = ProcessEngine(prog, num_workers=2, run_length=4).run(phases)
         assert_serializable(serial, par)
-        assert par.engine == "process[w=2,b=4]"
-        assert par.stats["batching"]["batch_size"] == 4
+        assert par.engine == "process[w=2]"
+        assert max(par.stats["batching"]["sizes"]) <= 4
 
     def test_zero_phases(self):
         prog = make_chain_program(2, {})
@@ -130,8 +131,6 @@ class TestBasicExecution:
         prog = make_chain_program(2, {})
         with pytest.raises(EngineError):
             ProcessEngine(prog, num_workers=0)
-        with pytest.raises(EngineError):
-            ProcessEngine(prog, num_workers=2, batch_size=0)
 
     def test_rerun_same_engine_object(self):
         prog = make_chain_program(3, {1: 1, 2: 2})
@@ -227,8 +226,7 @@ class TestFailureHandling:
 class TestStatsSchema:
     def test_stats_keys_present(self):
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
-        # run_length=1 pins the single-pair wire path; the frame-per-pair
-        # assertions below are meaningless under run coalescing.
+        # run_length=1: every run is one pair, so frames count pairs.
         res = ProcessEngine(prog, num_workers=2, run_length=1).run(phases)
         stats = res.stats
         assert stats["num_workers"] == 2
@@ -250,8 +248,8 @@ class TestStatsSchema:
         assert wire["total_bytes"] > 0
         assert wire["tasks"]["messages"] == res.execution_count
         batching = stats["batching"]
-        assert batching["batch_size"] == 1
-        assert batching["mean_batch_size"] == 1.0
+        assert batching["sizes"] == {1: res.execution_count}
+        assert batching["mean_size"] == 1.0
         assert stats["edge_entries_peak"] >= stats["edge_entries_final"]
 
     def test_sticky_assignment_covers_all_workers(self):

@@ -1,9 +1,9 @@
-"""Tests for the batched wire path of the process backend.
+"""Tests for the wire path of the process backend.
 
-Covers the PR-4 surface: ``TaskBatch``/``ResultBatch`` framing (including
-the edge cases — truncated frames, zero-length batches, failures and
-crashes mid-batch), the :class:`~repro.runtime.mp.protocol.Interner`,
-:func:`~repro.core.state.drain_ready_batches`, delta state sync
+Covers ``RunMsg``/``ResultBatch`` framing (including the edge cases —
+truncated frames, zero-member runs, failures and crashes mid-run), the
+:class:`~repro.runtime.mp.protocol.Interner`, the dispatch drain
+(:meth:`~repro.core.state.ReadyFrontier.drain`), delta state sync
 (:meth:`~repro.core.vertex.Vertex.snapshot_delta`), the adaptive credit
 window, and the byte-metering regression check (per-class wire stats
 must sum to the actual coordinator-side queue traffic).
@@ -16,26 +16,25 @@ import pytest
 
 from repro.analysis.serializability import assert_serializable
 from repro.core.serial import SerialExecutor
-from repro.core.state import drain_ready_batches
+from repro.core.state import ReadyFrontier
 from repro.core.program import Program
-from repro.core.vertex import Vertex
-from repro.errors import EngineError, SchedulerError, VertexExecutionError
+from repro.core.vertex import Vertex, VertexContext
+from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
+from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
     Interner,
     ResultBatch,
     ResultMsg,
+    RunMember,
     RunMsg,
-    TaskBatch,
-    TaskMsg,
-    context_from_task,
+    context_from_member,
     decode,
     encode,
     run_from_contexts,
-    tasks_from_run,
 )
 from repro.streams.workloads import grid_workload
 from repro.testing import fuzz_process
@@ -48,17 +47,27 @@ from tests.conftest import make_chain_program, signals
 # ---------------------------------------------------------------------------
 
 
+def _run(vertex, name, phases, successors=(), inputs=None):
+    """A run frame over *phases* with fixed per-member inputs."""
+    return RunMsg(
+        vertex=vertex, name=name, successors=tuple(successors),
+        members=tuple(
+            RunMember(phase=p, inputs=dict(inputs or {}), changed=())
+            for p in phases
+        ),
+    )
+
+
 class TestBatchFraming:
     def test_task_batch_round_trip(self):
-        tasks = tuple(
-            TaskMsg(
-                vertex=1, name="a", phase=p, inputs={"x": p},
-                changed=("x",), successors=("b",),
-            )
-            for p in range(1, 4)
+        run = RunMsg(
+            vertex=1, name="a", successors=("b",),
+            members=tuple(
+                RunMember(phase=p, inputs={"x": p}, changed=("x",))
+                for p in range(1, 4)
+            ),
         )
-        batch = TaskBatch(tasks)
-        assert decode(encode(batch)) == batch
+        assert decode(encode(run)) == run
 
     def test_result_batch_round_trip(self):
         batch = ResultBatch(
@@ -74,24 +83,21 @@ class TestBatchFraming:
     def test_truncated_frame_raises_not_corrupts(self):
         # Frames are whole pickle blobs: a partial read must fail loudly,
         # never yield a half-parsed message.
-        frame = encode(TaskBatch((TaskMsg(
-            vertex=1, name="a", phase=1, inputs={},
-            changed=(), successors=(),
-        ),)))
+        frame = encode(_run(1, "a", [1]))
         for cut in (1, len(frame) // 2, len(frame) - 1):
             with pytest.raises((pickle.UnpicklingError, EOFError,
                                 AttributeError, IndexError)):
                 decode(frame[:cut])
 
     def test_zero_length_batch_is_legal_on_wire(self):
-        # The engine never sends one, but a zero-length TaskBatch must
-        # not wedge or crash a worker: it answers with an empty
-        # ResultBatch and keeps serving.
+        # The engine never sends one, but a zero-member run must not
+        # wedge or crash a worker: it answers with an empty ResultBatch
+        # and keeps serving.
         prog = make_chain_program(2, {1: "x"})
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
             pool.start()
-            pool.submit_to_worker(0, encode(TaskBatch(())), "task_batches")
+            pool.submit_to_worker(0, encode(_run(1, "v1", [])), "tasks")
             msg = pool.collect(timeout=30.0)
             assert msg == ResultBatch(worker_id=0, results=(), skipped=())
             finals = pool.shutdown(timeout=30.0)
@@ -115,19 +121,14 @@ def _solo_program(behavior: Vertex) -> Program:
 
 class TestMidBatchFailure:
     def test_worker_reports_survivors_and_skips(self):
-        # A batch [a@1, a@2(fails), a@3]: the reply must carry a@1's
+        # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
         # result, a@2's error entry, and a@3 as skipped — never a@3
         # executed out of order past the failure.
         prog = _solo_program(_BoomAtPhase2())
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
             pool.start()
-            tasks = tuple(
-                TaskMsg(vertex=1, name="a", phase=p, inputs={},
-                        changed=(), successors=())
-                for p in (1, 2, 3)
-            )
-            pool.submit_to_worker(0, encode(TaskBatch(tasks)), "task_batches")
+            pool.submit_to_worker(0, encode(_run(1, "a", [1, 2, 3])), "tasks")
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
             assert [r.phase for r in msg.results] == [1, 2]
@@ -140,7 +141,7 @@ class TestMidBatchFailure:
 
     def test_engine_surfaces_error_and_stays_reusable(self):
         prog = _solo_program(_BoomAtPhase2())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4)
+        engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError) as exc_info:
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
         assert exc_info.value.vertex == "a"
@@ -170,14 +171,13 @@ class TestMidBatchCrash:
         # and a VertexExecutionError for the poison result — not a
         # wedged run or a WorkerCrashMsg.
         prog = _solo_program(_UnpicklableResult())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4)
+        engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError, match="not picklable"):
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
 
     def test_worker_death_mid_batch_is_clean_engine_error(self):
         prog = _solo_program(_ExitHard())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4,
-                               join_timeout=30.0)
+        engine = ProcessEngine(prog, num_workers=1, join_timeout=30.0)
         with pytest.raises(EngineError, match="died|crashed"):
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
 
@@ -270,54 +270,28 @@ class TestSalvageEncoding:
 
 
 # ---------------------------------------------------------------------------
-# drain_ready_batches
+# The dispatch drain (ReadyFrontier.drain)
 # ---------------------------------------------------------------------------
 
 
 class TestDrainReadyBatches:
-    def test_routes_by_assignment_and_chunks(self):
-        from collections import deque
-
-        pending = deque([(v, 1) for v in range(1, 8)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: (v - 1) % 2, lambda w: 99, chunk=2
-        )
-        assert not pending and not starved
-        assert [(w, pairs) for w, pairs in batches] == [
-            (0, [(1, 1), (3, 1)]),
-            (0, [(5, 1), (7, 1)]),
-            (1, [(2, 1), (4, 1)]),
-            (1, [(6, 1)]),
-        ]
-
     def test_respects_capacity_and_reports_starvation(self):
-        from collections import deque
-
-        pending = deque([(1, p) for p in range(1, 6)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 2, chunk=8
-        )
-        assert batches == [(0, [(1, 1), (1, 2)])]
+        pending = ReadyFrontier(lambda v: 0)
+        pending.push([(1, p) for p in range(1, 6)])
+        taken, starved = pending.drain(lambda w: 2)
+        assert taken == [(0, [(1, 1), (1, 2)])]
         assert starved == {0}
         # Leftovers keep their order — the per-worker FIFO the phase
         # ordering argument relies on.
-        assert list(pending) == [(1, 3), (1, 4), (1, 5)]
+        taken, _ = pending.drain(lambda w: 99)
+        assert taken == [(0, [(1, 3), (1, 4), (1, 5)])]
 
     def test_zero_capacity_takes_nothing(self):
-        from collections import deque
-
-        pending = deque([(1, 1)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 0, chunk=4
-        )
-        assert batches == [] and starved == {0}
-        assert list(pending) == [(1, 1)]
-
-    def test_invalid_chunk_rejected(self):
-        from collections import deque
-
-        with pytest.raises(SchedulerError):
-            drain_ready_batches(deque(), lambda v: 0, lambda w: 1, chunk=0)
+        pending = ReadyFrontier(lambda v: 0)
+        pending.push([(1, 1)])
+        taken, starved = pending.drain(lambda w: 0)
+        assert taken == [] and starved == {0}
+        assert len(pending) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +330,31 @@ class TestInterner:
             # across separately prepared contexts look like.
             return "".join(["a repeated latched value"] * 4)
 
-        tasks_plain = []
-        tasks_interned = []
-        interner = Interner()
-        for p in range(1, 9):
-            tasks_plain.append(TaskMsg(
-                vertex=1, name="a", phase=p,
-                inputs={"x": fresh_payload()}, changed=(), successors=("b",),
+        def frame(intern):
+            return encode(RunMsg(
+                vertex=1, name="a", successors=("b",),
+                members=tuple(
+                    RunMember(phase=p, inputs={"x": intern(fresh_payload())},
+                              changed=())
+                    for p in range(1, 9)
+                ),
             ))
-            tasks_interned.append(TaskMsg(
-                vertex=1, name="a", phase=p,
-                inputs={"x": interner.intern(fresh_payload())},
-                changed=(), successors=("b",),
-            ))
-        plain = encode(TaskBatch(tuple(tasks_plain)))
-        interned = encode(TaskBatch(tuple(tasks_interned)))
-        assert len(interned) < len(plain)
+
+        assert len(frame(Interner().intern)) < len(frame(lambda v: v))
+
+    def test_none_hits_after_first_miss(self):
+        # Regression: a stored None was indistinguishable from a miss,
+        # so every intern of None re-inserted it, grew approx_bytes and
+        # forced spurious table resets (phase_input is None for every
+        # non-source member, so long serve runs hit this constantly).
+        import sys
+
+        interner = Interner(max_bytes=4096)
+        for _ in range(1000):
+            assert interner.intern(None) is None
+        assert interner.misses == 1 and interner.hits == 999
+        assert interner.resets == 0
+        assert interner.approx_bytes == sys.getsizeof(None)
 
     def test_byte_meter_tracks_retained_values(self):
         import sys
@@ -428,58 +411,41 @@ class TestInterner:
 def _prepared_members(phases, payload="latched"):
     """Ascending (phase, ctx) members the way the coordinator prepares
     them for one claimed run."""
-    prepared = []
-    for p in phases:
-        task = TaskMsg(
-            vertex=3, name="mid", phase=p,
-            inputs={"up": payload}, changed=("up",),
-            successors=("down", "side"), phase_input=None,
-        )
-        prepared.append((p, context_from_task(task)))
-    return prepared
+    return [
+        (p, VertexContext(
+            name="mid", phase=p, inputs={"up": payload}, changed={"up"},
+            successors=["down", "side"], phase_input=None,
+        ))
+        for p in phases
+    ]
 
 
 class TestRunFraming:
     def test_round_trip_expands_in_phase_order(self):
         run = run_from_contexts(3, _prepared_members([4, 5, 6]))
         decoded = decode(encode(run))
-        tasks = tasks_from_run(decoded)
-        assert [t.phase for t in tasks] == [4, 5, 6]
-        for t in tasks:
-            assert t.vertex == 3
-            assert t.name == "mid"
-            assert t.successors == ("down", "side")
-            assert t.inputs == {"up": "latched"}
-            assert t.changed == ("up",)
+        assert decoded.vertex == 3
+        ctxs = [context_from_member(decoded, m) for m in decoded.members]
+        assert [c.phase for c in ctxs] == [4, 5, 6]
+        for c in ctxs:
+            assert c.name == "mid"
+            assert c._successors == ["down", "side"]
+            assert c.inputs == {"up": "latched"}
+            assert c.changed == {"up"}
 
     def test_header_rides_once(self):
-        # A run frame carries name/successors once; the equivalent batch
-        # of single-pair tasks repeats them per member.
+        # A run frame carries name/successors once; the same members
+        # shipped as runs of one repeat them per member.
         prepared = _prepared_members(range(1, 9), payload="v" * 64)
         run_frame = encode(run_from_contexts(3, prepared, Interner()))
-        singles = encode(TaskBatch(tuple(
-            TaskMsg(
-                vertex=3, name="mid", phase=p,
-                inputs=dict(ctx.inputs), changed=tuple(sorted(ctx.changed)),
-                successors=tuple(ctx._successors),
-            )
-            for p, ctx in prepared
-        )))
+        singles = encode(tuple(
+            run_from_contexts(3, [member]) for member in prepared
+        ))
         assert len(run_frame) < len(singles)
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
             run_from_contexts(3, [])
-
-    def test_runs_nest_inside_task_batches(self):
-        run = run_from_contexts(3, _prepared_members([2, 3]))
-        lone = TaskMsg(
-            vertex=5, name="tail", phase=2, inputs={}, changed=(),
-            successors=(),
-        )
-        batch = decode(encode(TaskBatch((run, lone))))
-        kinds = [type(e) for e in batch.tasks]
-        assert kinds == [RunMsg, TaskMsg]
 
 
 # ---------------------------------------------------------------------------
@@ -584,80 +550,75 @@ class TestSnapshotDelta:
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("ipc_batch,window", [
+    @pytest.mark.parametrize("run_length,in_flight", [
         (2, None), (8, None), (8, 4), (4, 1), (3, 2),
     ])
-    def test_matches_serial_oracle(self, ipc_batch, window):
+    def test_matches_serial_oracle(self, run_length, in_flight):
+        # Run caps against the environment's in-flight phase window:
+        # runs can only claim phases the window has admitted.
         prog, phases = grid_workload(3, 3, phases=12, seed=6)
         serial = SerialExecutor(prog).run(phases)
         par = ProcessEngine(
-            prog, num_workers=2, batch_size=4,
-            ipc_batch=ipc_batch, window=window,
+            prog, num_workers=2, run_length=run_length,
+            env=EnvironmentConfig(max_in_flight_phases=in_flight),
         ).run(phases)
         assert_serializable(serial, par)
         assert par.records == serial.records
+        assert max(par.stats["batching"]["sizes"]) <= run_length
 
     def test_round_trips_scale_with_batches_not_executions(self):
+        # Default adaptive coalescing: runs ride one frame each way.
         prog, phases = grid_workload(4, 2, phases=10, seed=1)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=4
-        ).run(phases)
+        res = ProcessEngine(prog, num_workers=2).run(phases)
         assert res.stats["ipc_round_trips"] < res.execution_count
         wire = res.stats["serialization_bytes"]
-        assert wire["task_batches"]["messages"] == (
-            res.stats["ipc_round_trips"]
-        )
-        assert wire["tasks"]["messages"] == 0
-        assert wire["result_batches"]["messages"] >= 1
+        assert wire["tasks"]["messages"] == res.stats["ipc_round_trips"]
+        assert wire["results"]["messages"] == res.stats["ipc_round_trips"]
         assert res.stats["ipc"]["mean_tasks_per_frame"] > 1.0
 
     def test_label_and_ipc_stats_schema(self):
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=8, window=4
-        ).run(phases)
-        assert res.engine == "process[w=2,b=4,ipc=8,win=4]"
+        res = ProcessEngine(prog, num_workers=2).run(phases)
+        assert res.engine == "process[w=2]"
         ipc = res.stats["ipc"]
-        assert ipc["ipc_batch"] == 8
-        assert ipc["window"] == 4
+        assert set(ipc) == {
+            "window_final", "window_peak", "window_widenings",
+            "window_narrowings", "task_frames", "mean_tasks_per_frame",
+            "interning",
+        }
         assert set(ipc["window_final"]) == {0, 1}
+        assert 1 <= ipc["window_peak"] <= 16
         assert ipc["task_frames"] == res.stats["ipc_round_trips"]
         assert ipc["interning"]["misses"] >= 0
 
     def test_default_path_is_unchanged(self):
-        # ipc_batch=1 + run_length=1 must reproduce the PR-3 wire path:
-        # one TaskMsg frame per executed pair, no batch frames, no
-        # interning (run_length=1 disables run coalescing, which would
-        # otherwise ship RunMsg frames under the default cone frontier).
+        # run_length=1: every claimed run is one pair, so the wire
+        # carries one run frame and one result frame per executed pair.
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
         res = ProcessEngine(prog, num_workers=2, run_length=1).run(phases)
         assert res.engine == "process[w=2]"
         wire = res.stats["serialization_bytes"]
         assert wire["tasks"]["messages"] == res.execution_count
-        assert wire["task_batches"]["messages"] == 0
-        assert wire["result_batches"]["messages"] == 0
-        assert res.stats["ipc"]["window"] == "adaptive"
-        assert res.stats["ipc"]["interning"] is None
+        assert wire["results"]["messages"] == res.execution_count
+        assert res.stats["ipc"]["mean_tasks_per_frame"] == 1.0
+        assert res.stats["coalescing"]["pairs_coalesced"] == 0
 
     def test_adaptive_window_widens_under_backlog(self):
         # run_length=1: coalescing folds the backlog into runs before the
         # window controller ever sees pressure, so widening is a
         # single-pair-dispatch behaviour.
         prog, phases = grid_workload(4, 3, phases=20, seed=2)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=2, run_length=1
-        ).run(phases)
+        res = ProcessEngine(prog, num_workers=2, run_length=1).run(phases)
         ipc = res.stats["ipc"]
-        assert ipc["window"] == "adaptive"
         assert ipc["window_peak"] >= 2
         assert ipc["window_widenings"] >= 1
 
     def test_invalid_knobs_rejected(self):
         prog = make_chain_program(2, {})
         with pytest.raises(EngineError):
-            ProcessEngine(prog, ipc_batch=0)
+            ProcessEngine(prog, num_workers=0)
         with pytest.raises(EngineError):
-            ProcessEngine(prog, window=0)
+            ProcessEngine(prog, run_length=0)
 
     def test_post_run_state_matches_serial_via_deltas(self):
         # Sources mutate worker-side state (RNG advance); after the run
@@ -670,7 +631,7 @@ class TestBatchedEngine:
             n: normalized(b.snapshot_state())
             for n, b in prog.behaviors.items()
         }
-        ProcessEngine(prog, num_workers=2, ipc_batch=4).run(phases)
+        ProcessEngine(prog, num_workers=2).run(phases)
         actual = {
             n: normalized(b.snapshot_state())
             for n, b in prog.behaviors.items()
@@ -710,9 +671,9 @@ class _MeteredQueue:
 
 
 class TestMeteringRegression:
-    @pytest.mark.parametrize("ipc_batch", [1, 4])
+    @pytest.mark.parametrize("run_length", [1, 4])
     def test_per_class_bytes_sum_to_pipe_traffic(self, monkeypatch,
-                                                 ipc_batch):
+                                                 run_length):
         # Independently meter every byte the coordinator moves through
         # the queues, then require the engine's per-class accounting to
         # sum to exactly that (plus the warmup blobs, which travel via
@@ -730,11 +691,11 @@ class TestMeteringRegression:
         monkeypatch.setattr(ProcessWorkerPool, "start", recording_start)
         prog, phases = grid_workload(3, 3, phases=8, seed=4)
         res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=ipc_batch
+            prog, num_workers=2, run_length=run_length
         ).run(phases)
         wire = res.stats["serialization_bytes"]
-        sent_classes = ("tasks", "runs", "task_batches", "shutdown")
-        recv_classes = ("results", "result_batches", "final_state")
+        sent_classes = ("tasks", "shutdown")
+        recv_classes = ("results", "final_state")
         assert sum(wire[c]["bytes"] for c in sent_classes) == sum(sent)
         assert sum(wire[c]["bytes"] for c in recv_classes) == sum(received)
         assert sum(wire[c]["messages"] for c in sent_classes) == len(sent)

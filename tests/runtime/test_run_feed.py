@@ -88,7 +88,7 @@ class TestIncrementalAdmissionProcess:
 
         feed, producer = _feed_all(phases)
         streamed = ProcessEngine(
-            plan, num_workers=2, ipc_batch=2, frontier=frontier
+            plan, num_workers=2, frontier=frontier
         ).run_feed(feed)
         producer.join(timeout=60)
 
@@ -129,7 +129,7 @@ class TestRetirement:
 
         sink_log = []
         feed, producer = _feed_all(phases)
-        result = ProcessEngine(plan, num_workers=2, ipc_batch=2).run_feed(
+        result = ProcessEngine(plan, num_workers=2).run_feed(
             feed,
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,
