@@ -330,9 +330,10 @@ def _write_stats_json(dest: str, payload: dict) -> None:
 # Profile classification: function-name → pipeline stage.  Order
 # matters — first match wins.
 _PROFILE_STAGES = (
-    ("prepare", ("prepare", "gather_inputs")),
+    ("prepare", ("prepare", "prepare_run", "gather_inputs")),
     ("compute", ("compute", "on_execute")),
-    ("commit", ("commit", "commit_remote", "deliver", "consume")),
+    ("commit", ("commit", "commit_run", "_commit_values", "deliver",
+                "consume")),
     ("scheduling", (
         "complete_execution", "complete_executions", "claim_run",
         "start_phase", "_refresh_ready", "_determination_wave", "drain",

@@ -19,6 +19,11 @@ lock only around the bookkeeping:
   and return the *indices* of the vertices that received outputs (the set
   Listing 1's statement 1.8 iterates over).
 
+The process engine, whose compute step runs in another process, uses the
+run-level pair :meth:`PairRuntime.prepare_run` / :meth:`PairRuntime.commit_run`
+instead: a claimed run's snapshots and results travel as column tuples,
+so no per-member context is built coordinator-side.
+
 :class:`RunResult` is the externally visible outcome of a run: the per-
 vertex records, the executed pairs in completion order, and counters.
 """
@@ -29,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -327,6 +333,57 @@ class PairRuntime:
             phase_input=phase_input,
         )
 
+    def prepare_run(
+        self,
+        v: int,
+        phases: Sequence[int],
+        intern: Callable[[Any], Any] = lambda value: value,
+    ) -> Tuple[
+        str, Tuple[str, ...], Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...]
+    ]:
+        """Snapshot a claimed run's members as columns (call under the
+        lock).
+
+        Returns ``(name, successors, inputs, changed, phase_inputs)``;
+        the last three are tuples indexed like *phases* and carry the
+        same snapshot :meth:`prepare` puts in a context, with every value
+        passed through *intern* so repeats pickle once.
+        """
+        if not phases:
+            raise ValueError("prepare_run: empty member list")
+        names = self._names
+        gather = self.edges.gather_inputs
+        source_inputs = (
+            self._phase_inputs if v in self._source_indices else None
+        )
+        name = names[v]
+        inputs: List[Dict[str, Any]] = []
+        changed: List[Tuple[str, ...]] = []
+        phase_inputs: List[Any] = []
+        for p in phases:
+            raw_inputs, raw_changed = gather(v, p)
+            inputs.append(
+                {names[src]: intern(val) for src, val in raw_inputs.items()}
+            )
+            changed.append(
+                intern(tuple([names[src] for src in raw_changed]))
+                if raw_changed
+                else ()
+            )
+            phase_input = None
+            if source_inputs is not None:
+                pi = source_inputs.get(p)
+                if pi is not None:
+                    phase_input = intern(pi.values.get(name))
+            phase_inputs.append(phase_input)
+        return (
+            name,
+            tuple(self._succ_names[v]),
+            tuple(inputs),
+            tuple(changed),
+            tuple(phase_inputs),
+        )
+
     def compute(self, v: int, ctx: VertexContext) -> VertexContext:
         """Run the vertex behaviour (call outside the lock)."""
         behavior = self.program.behavior(v)
@@ -348,7 +405,51 @@ class PairRuntime:
         without a per-commit sort, and the suppression latch test runs
         inline on the same walk.
         """
-        outs = ctx.outputs
+        return self._commit_values(v, p, ctx.outputs, ctx.records)
+
+    def commit_run(
+        self,
+        v: int,
+        phases: Sequence[int],
+        outputs: Sequence[Mapping[str, Any]],
+        records: Sequence[Sequence[Any]],
+        suppressed: Sequence[Sequence[str]],
+    ) -> List[Tuple[int, int, List[int]]]:
+        """Commit a run whose compute step ran in another process (call
+        under the lock).
+
+        The columns are indexed like *phases* (ascending): each member's
+        worker-side *outputs* (successor name -> value) and *records*
+        are committed exactly as :meth:`commit` would commit a context
+        holding them.  *suppressed* names the successors whose outputs
+        the worker elided before serialization — the worker's
+        last-emitted cache mirrors the edge latch (sticky assignment,
+        in-order phases), so they are accounted here without the values
+        ever crossing the wire.  Returns ``(v, p, targets)`` per member,
+        the shape :meth:`~repro.core.state.SchedulerState.complete_executions`
+        takes.
+        """
+        index_of = self.program.numbering.index_of
+        commit = self._commit_values
+        completed: List[Tuple[int, int, List[int]]] = []
+        for p, outs, recs, supp in zip(phases, outputs, records, suppressed):
+            if supp:
+                self.edges.record_suppressed(len(supp))
+                cands = self._elide_candidates.setdefault(p, set())
+                for wname in supp:
+                    cands.add(index_of[wname])
+            completed.append((v, p, commit(v, p, outs, recs)))
+        return completed
+
+    def _commit_values(
+        self,
+        v: int,
+        p: int,
+        outs: Mapping[str, Any],
+        records: Sequence[Any],
+    ) -> List[int]:
+        """The delivery/suppression/record body of :meth:`commit` and
+        :meth:`commit_run`."""
         suppress = self.suppress
         targets: List[int] = []
         if outs:
@@ -375,18 +476,19 @@ class PairRuntime:
             edges.deliver(v, p, outputs_by_index)
             self.message_count += len(outputs_by_index)
         self.edges.consume(v, p)
-        if ctx.records:
+        if records:
             if self.stream_records:
                 seg = self._records_by_phase[p]
-                for value in ctx.records:
-                    seg.append((ctx.name, value))
+                name = self._names[v]
+                for value in records:
+                    seg.append((name, value))
             else:
                 log = self._record_logs[v]
                 if log is None:
                     log = self._record_logs[v] = self.records.setdefault(
-                        ctx.name, []
+                        self._names[v], []
                     )
-                for value in ctx.records:
+                for value in records:
                     log.append((p, value))
         self.execution_count += 1
         if suppress:
@@ -401,35 +503,6 @@ class PairRuntime:
         """prepare + compute + commit in one step (single-threaded engines)."""
         ctx = self.prepare(v, p)
         self.compute(v, ctx)
-        return self.commit(v, p, ctx)
-
-    def commit_remote(
-        self,
-        v: int,
-        p: int,
-        ctx: VertexContext,
-        outputs: Mapping[str, Any],
-        records: Sequence[Any],
-        suppressed: Sequence[str] = (),
-    ) -> List[int]:
-        """Commit a pair whose compute step ran in another process.
-
-        The coordinator prepared *ctx* locally, shipped it to a worker,
-        and got back the worker's *outputs* (successor name -> value) and
-        *records*; this adopts them into *ctx* and commits as usual (call
-        under the lock).  *suppressed* names successors whose outputs the
-        worker elided before serialization — the worker's last-emitted
-        cache mirrors the edge latch (sticky assignment, in-order
-        phases), so they are accounted here without the values ever
-        crossing the wire.
-        """
-        if suppressed:
-            index_of = self.program.numbering.index_of
-            self.edges.record_suppressed(len(suppressed))
-            cands = self._elide_candidates.setdefault(p, set())
-            for wname in suppressed:
-                cands.add(index_of[wname])
-        ctx.adopt_results(outputs, records)
         return self.commit(v, p, ctx)
 
     def elidable_successor_names(self) -> Dict[str, FrozenSet[str]]:

@@ -203,21 +203,6 @@ class VertexContext:
         if not self._emitted_explicitly:
             self.emit(returned)
 
-    def adopt_results(
-        self, outputs: Mapping[str, Any], records: Sequence[Any]
-    ) -> None:
-        """Adopt outputs/records computed elsewhere (engine use only).
-
-        The process-parallel engine executes :meth:`Vertex.on_execute` in a
-        worker process against a *copy* of this context; the worker ships
-        back the resulting outputs and records, and the coordinator adopts
-        them into its own context before committing.
-        """
-        self._outputs.clear()
-        self._outputs.update(outputs)
-        self._records.clear()
-        self._records.extend(records)
-
     @property
     def outputs(self) -> Dict[str, Any]:
         """Messages produced this phase: successor name -> value."""

@@ -4,7 +4,7 @@ Every dispatch is a claimed run
 (:meth:`~repro.core.state.SchedulerState.claim_run`; a single pair is a
 run of length 1), so each commit section applies one batch of member
 completions.  After the engine has delivered the members' outputs
-(:meth:`~repro.core.program.PairRuntime.commit` or ``commit_remote``),
+(:meth:`~repro.core.program.PairRuntime.commit` or ``commit_run``),
 :meth:`CommitTail.apply` does the rest, in this order and under the
 caller's lock:
 

@@ -21,12 +21,12 @@ Select it from the CLI with ``repro run SPEC --engine process``.
 """
 
 from .engine import ProcessEngine
-from .protocol import ResultMsg, RunMsg, ShutdownMsg, WorkerCrashMsg
+from .protocol import ResultBatch, RunMsg, ShutdownMsg, WorkerCrashMsg
 
 __all__ = [
     "ProcessEngine",
     "RunMsg",
-    "ResultMsg",
+    "ResultBatch",
     "ShutdownMsg",
     "WorkerCrashMsg",
 ]

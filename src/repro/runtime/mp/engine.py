@@ -8,22 +8,24 @@ store, the records — and runs both of the paper's loops inline:
 * Listing 2 (environment): start the next phase whenever pacing and flow
   control allow;
 * Listing 1 (computation), split at the prepare/compute/commit seam of
-  :class:`~repro.core.program.PairRuntime`: *prepare* ready pairs under
-  the lock, ship the snapshotted contexts to each vertex's sticky worker
+  :class:`~repro.core.program.PairRuntime`: *prepare* ready runs under
+  the lock, ship the snapshots to each vertex's sticky worker
   (:class:`~repro.runtime.mp.lifecycle.ProcessWorkerPool`), and *commit*
   the returned outputs under the lock.
 
 Every dispatch is a claimed run: each ready pair is extended into a
 run of claimable phases
 (:meth:`~repro.core.state.SchedulerState.claim_run`; a single pair under
-the global frontier or ``run_length=1``), its members' contexts are
-prepared in one critical section and shipped as one
-:class:`~.protocol.RunMsg` frame, and the worker answers with one
-:class:`~.protocol.ResultBatch` that is committed whole — one frame each
+the global frontier or ``run_length=1``), its members are snapshotted in
+one critical section
+(:meth:`~repro.core.program.PairRuntime.prepare_run`) and shipped as one
+column-oriented :class:`~.protocol.RunMsg` frame, and the worker answers
+with one column :class:`~.protocol.ResultBatch` that is committed whole
+(:meth:`~repro.core.program.PairRuntime.commit_run`) — one frame each
 way and one :meth:`~repro.core.state.SchedulerState.complete_executions`
-call per run.  Repeated values inside a frame (latched inputs that did
-not change, successor tuples, recurring outputs) are interned so pickle
-emits them once.
+call per run, and no per-member object built coordinator-side.
+Repeated values inside a frame (latched inputs that did not change,
+recurring outputs) are interned so pickle emits them once.
 
 The ready backlog is kept pre-partitioned by sticky worker
 (:class:`~repro.core.state.ReadyFrontier`), and each worker has an
@@ -31,7 +33,10 @@ adaptive in-flight **credit window**: it starts at one pair, doubles
 (up to 16) while the backlog leaves the worker starved for credit, and
 narrows when commits lag behind dispatch (a poll quantum passes with
 every credit spent and no result).  A deep window keeps workers fed; a
-shallow one bounds the coordinator's in-flight context memory.
+shallow one bounds how far dispatch runs ahead of commit: the members
+queued on a worker's pipe and the edge entries their snapshots pin
+(the coordinator keeps only the ``(vertex, phase)`` keys of in-flight
+members, not their snapshots).
 
 The coordinator is single-threaded, so its
 :class:`~repro.runtime.locks.InstrumentedLock` is never contended — it
@@ -50,7 +55,10 @@ untouched.  Final worker states are shipped back at shutdown
 as :meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and applied
 to the coordinator's program (whose behaviours still hold the spawn-time
 baseline — compute only ever runs worker-side), keeping post-run state
-consistent for ``--check``-style oracle comparisons.
+consistent for ``--check``-style oracle comparisons.  Each worker's
+count of executed members must equal the members the coordinator
+committed for it, else the drain raises
+:class:`~repro.errors.EngineError` (a cross-process exactly-once check).
 
 Failure handling prefers the root cause, mirroring the threaded engine:
 a vertex error (re-raised as
@@ -63,14 +71,13 @@ surviving prefix — are committed first.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
 from ...core.program import PairRuntime, Program, RunResult
 from ...core.state import ReadyFrontier, SchedulerState
 from ...core.tracer import ExecutionTracer
-from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
 from ..commit import CommitTail
@@ -81,10 +88,10 @@ from .lifecycle import ProcessWorkerPool
 from .protocol import (
     FinalStateMsg,
     Interner,
-    ResultMsg,
+    ResultBatch,
+    RunMsg,
     WorkerCrashMsg,
     encode,
-    run_from_contexts,
 )
 
 __all__ = ["ProcessEngine"]
@@ -262,7 +269,7 @@ class ProcessEngine:
         # Ready-but-unshipped pairs, indexed by sticky worker so each
         # dispatch drain is O(pairs shipped), not O(backlog).
         pending = ReadyFrontier(pool.worker_of)
-        in_flight: Dict[Tuple[int, int], VertexContext] = {}
+        in_flight: Set[Tuple[int, int]] = set()
         tail = CommitTail(
             self.plan, runtime, state, tracer, self.num_workers, retire, sink
         )
@@ -273,6 +280,7 @@ class ProcessEngine:
         # Members of one run share latched inputs phase over phase, so
         # interning collapses them to pickle memo references.
         interner = Interner()
+        intern = interner.intern
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
@@ -307,15 +315,18 @@ class ProcessEngine:
             for w, pairs in taken:
                 for v, p in pairs:
                     with lock:
-                        prepared: List[Tuple[int, VertexContext]] = []
-                        for q in state.claim_run(v, p, run_cap):
-                            ctx = runtime.prepare(v, q)
+                        phases = tuple(state.claim_run(v, p, run_cap))
+                        name, succs, inputs, changed, phase_inputs = (
+                            runtime.prepare_run(v, phases, intern)
+                        )
+                        for q in phases:
                             if tracer is not None:
                                 tracer.execute_begin((v, q), w)
-                            in_flight[(v, q)] = ctx
-                            prepared.append((q, ctx))
-                        run = run_from_contexts(v, prepared, interner)
-                    worker_load[w] += len(prepared)
+                            in_flight.add((v, q))
+                    run = RunMsg(
+                        v, name, succs, phases, inputs, changed, phase_inputs
+                    )
+                    worker_load[w] += len(phases)
                     pool.submit_to_worker(w, encode(run), "tasks")
             # Backlog left a worker starved for credit: widen.
             for w in starved:
@@ -335,43 +346,36 @@ class ProcessEngine:
                     windows[w] -= 1
                     window_events["narrowings"] += 1
 
-        def commit_results(worker_id: int, results: List[ResultMsg]) -> None:
+        def commit_batch(batch: ResultBatch) -> None:
             # One result frame's executed members, committed in one
             # critical section with one complete_executions call.
-            if not results:
+            if not batch.phases:
                 return
+            v = batch.vertex
             with lock:
-                completed = [
-                    (
-                        res.vertex,
-                        res.phase,
-                        runtime.commit_remote(
-                            res.vertex,
-                            res.phase,
-                            in_flight.pop((res.vertex, res.phase)),
-                            res.outputs,
-                            res.records,
-                            res.suppressed,
-                        ),
-                    )
-                    for res in results
-                ]
-                newly_ready, _ = tail.apply(completed, worker_id)
-            worker_load[worker_id] -= len(results)
+                for p in batch.phases:
+                    in_flight.remove((v, p))
+                completed = runtime.commit_run(
+                    v,
+                    batch.phases,
+                    batch.outputs,
+                    batch.records,
+                    batch.suppressed,
+                )
+                newly_ready, _ = tail.apply(completed, batch.worker_id)
+            worker_load[batch.worker_id] -= len(batch.phases)
             pending.push(newly_ready)
 
-        def requeue_skipped(
-            worker_id: int, skipped: Sequence[Tuple[int, int]]
-        ) -> None:
+        def requeue_skipped(batch: ResultBatch) -> None:
             # Members a worker declined to execute (an earlier member of
             # the run failed) are still claimed in the coordinator's
             # state: put them back at the head of the worker's bucket,
             # oldest first, so a surviving run would re-dispatch them in
             # order.
-            for pair in skipped:
-                in_flight.pop(pair, None)
-                worker_load[worker_id] -= 1
-            pending.push_front(worker_id, skipped)
+            skipped = [(batch.vertex, p) for p in batch.skipped]
+            in_flight.difference_update(skipped)
+            worker_load[batch.worker_id] -= len(skipped)
+            pending.push_front(batch.worker_id, skipped)
 
         started = time.perf_counter()
         error: Optional[BaseException] = None
@@ -487,28 +491,31 @@ class ProcessEngine:
                         f"worker {msg.worker_id} crashed: {msg.message}"
                     )
                 if msg.skipped:
-                    requeue_skipped(msg.worker_id, msg.skipped)
-                results: List[ResultMsg] = []
-                for res in msg.results:
-                    if res.error is not None:
-                        # Commit the run's surviving prefix, then surface
-                        # the vertex failure as the root cause.
-                        commit_results(msg.worker_id, results)
-                        raise VertexExecutionError(
-                            self.program.numbering.name_of(res.vertex),
-                            res.phase,
-                            res.error,
-                        )
-                    results.append(res)
-                commit_results(msg.worker_id, results)
-            # Graceful drain: collect final vertex state deltas and
-            # apply them coordinator-side (the coordinator's behaviours
+                    requeue_skipped(msg)
+                # On a failed run the columns hold its surviving prefix:
+                # commit it, then surface the failure as the root cause.
+                commit_batch(msg)
+                if msg.error is not None:
+                    phase, message = msg.error
+                    raise VertexExecutionError(
+                        self.program.numbering.name_of(msg.vertex),
+                        phase,
+                        message,
+                    )
+            # Graceful drain: check that every member a worker executed
+            # was committed exactly once, then apply the final vertex
+            # state deltas coordinator-side (the coordinator's behaviours
             # still hold the spawn-time baseline), so program state
             # after the run matches a serial execution.
             finals = pool.shutdown(self.join_timeout, collect_state=True)
+            for wid, final in sorted(finals.items()):
+                if final.executed != tail.per_worker[wid]:
+                    raise EngineError(
+                        f"worker {wid} executed {final.executed} members "
+                        f"but the coordinator committed "
+                        f"{tail.per_worker[wid]} for it"
+                    )
             for final in finals.values():
-                for name, snapshot in final.states.items():
-                    self.program.behaviors[name].restore_state(snapshot)
                 for name, delta in final.deltas.items():
                     self.program.behaviors[name].apply_delta(delta)
         except BaseException as exc:

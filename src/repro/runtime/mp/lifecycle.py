@@ -12,7 +12,7 @@
   uniformly.
 * **Graceful shutdown** — a :class:`~.protocol.ShutdownMsg` per worker,
   then a join with watchdog timeout; the workers' parting
-  :class:`~.protocol.FinalStateMsg` frames (vertex-state snapshots,
+  :class:`~.protocol.FinalStateMsg` frames (vertex-state deltas,
   busy-seconds, executed counts) are collected for the engine.
 * **Crash shutdown** — :meth:`terminate` kills outright; used when the
   run already failed and the root cause must not be masked by a wedged

@@ -7,23 +7,26 @@ below, pickled into a bytes frame by :func:`encode` and restored by
 * :class:`RunMsg` — coordinator -> worker: a claimed run (v, [p..p+k])
   from :meth:`~repro.core.state.SchedulerState.claim_run`; a single
   pair is a run of length 1.  The vertex id, name and successor tuple
-  ride the frame once; each :class:`RunMember` carries only the
-  per-phase payload (phase, latched inputs, changed set, external
-  input) of a *prepared* context snapshot, never live engine objects,
-  so a frame is self-contained and replayable.  Values repeated across
-  members (latched inputs that did not change) are pickled once and
-  back-referenced — see :class:`Interner`.
-* :class:`ResultBatch` — worker -> coordinator: the run's results, one
-  :class:`ResultMsg` per executed member, in phase order.  When a member
-  fails, the batch carries every result produced *before* the failure,
-  the error result itself, and the ``(vertex, phase)`` pairs that were
-  skipped, so the coordinator can commit the survivors before surfacing
-  the error.
+  ride the frame once; the per-member payload of the *prepared*
+  snapshot (phase, latched inputs, changed set, external input) rides
+  as four column tuples indexed by member, never as live engine
+  objects, so a frame is self-contained and replayable.  Values
+  repeated across members (latched inputs that did not change) are
+  pickled once and back-referenced — see :class:`Interner`.
+* :class:`ResultBatch` — worker -> coordinator: the run's results as
+  column tuples (phase, outputs, records, suppressed successors), one
+  entry per committed member in phase order.  When a member fails,
+  ``error`` names its phase and the columns hold only the members
+  before it; ``skipped`` lists the phases that were never executed, so
+  the coordinator can commit the survivors and requeue the tail before
+  surfacing the error.
 * :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
   ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
   carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per cached
   behaviour (relative to its spawn-time state), so the coordinator can
-  re-synchronise its own program state by paying only for what changed.
+  re-synchronise its own program state by paying only for what changed,
+  and the count of members it executed, which the coordinator checks
+  against the members it committed for that worker.
 * :class:`WorkerCrashMsg` — worker -> coordinator: the worker loop itself
   failed (bad frame, unpicklable state, ...).  Distinct from a vertex
   failure so the engine can report the right root cause.
@@ -43,22 +46,16 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
-
-from ...core.vertex import VertexContext
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
-    "RunMember",
     "RunMsg",
-    "ResultMsg",
     "ResultBatch",
     "ShutdownMsg",
     "FinalStateMsg",
     "WorkerCrashMsg",
     "encode",
     "decode",
-    "run_from_contexts",
-    "context_from_member",
     "traffic_class_of",
     "Interner",
     "WireStats",
@@ -66,69 +63,58 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class RunMember:
-    """One phase of a coalesced run: the per-phase payload only (the
-    vertex id, name and successors ride the enclosing :class:`RunMsg`)."""
-
-    phase: int
-    inputs: Dict[str, Any]
-    changed: Tuple[str, ...]
-    phase_input: Any = None
-
-
-@dataclass(frozen=True, slots=True)
 class RunMsg:
     """A claimed run (v, [p..p+k]): members execute back-to-back
-    worker-side, in the order given (ascending phase).  A zero-member
-    run is legal on the wire (the worker answers with an empty
-    :class:`ResultBatch`); the engine never sends one."""
+    worker-side, in the order given (ascending phase).
+
+    The last four fields are columns indexed by member: member *i* is
+    phase ``phases[i]`` with latched ``inputs[i]`` (predecessor name ->
+    value), the predecessor names in ``changed[i]`` whose value changed
+    at that phase, and the source's external ``phase_inputs[i]`` (``None``
+    for non-sources).  A zero-member run is legal on the wire (the worker
+    answers with an empty :class:`ResultBatch`); the engine never sends
+    one.
+    """
 
     vertex: int
     name: str
     successors: Tuple[str, ...]
-    members: Tuple[RunMember, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ResultMsg:
-    """One executed run member: outputs + records, or the vertex error.
-
-    ``error`` is ``None`` on success, else the stringified vertex failure
-    (the coordinator re-raises it as
-    :class:`~repro.errors.VertexExecutionError` with the original vertex
-    name and phase).  ``compute_s`` is the worker-measured on_execute
-    duration, summed into per-worker utilization.
-
-    ``suppressed`` names the successors whose outputs the worker elided
-    under change suppression — the values never ride the wire; the
-    coordinator uses the names for latch-consistent accounting and to
-    mark the downstream pairs as elision candidates.
-    """
-
-    worker_id: int
-    vertex: int
-    phase: int
-    outputs: Dict[str, Any] = field(default_factory=dict)
-    records: Tuple[Any, ...] = ()
-    error: Optional[str] = None
-    compute_s: float = 0.0
-    suppressed: Tuple[str, ...] = ()
+    phases: Tuple[int, ...] = ()
+    inputs: Tuple[Dict[str, Any], ...] = ()
+    changed: Tuple[Tuple[str, ...], ...] = ()
+    phase_inputs: Tuple[Any, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class ResultBatch:
-    """The results of one :class:`RunMsg`, in member order.
+    """The results of one :class:`RunMsg`, as columns in member order.
 
-    ``skipped`` lists the ``(vertex, phase)`` pairs of members that were
-    *not* executed because an earlier member failed (their results
-    would be discarded by the coordinator's error path anyway).  Results
-    that precede an error entry are the run's survivors: the coordinator
-    commits them before re-raising the error.
+    Member *i* executed phase ``phases[i]`` and produced ``outputs[i]``
+    (successor name -> value) and ``records[i]``; ``suppressed[i]`` names
+    the successors whose outputs the worker elided under change
+    suppression — the values never ride the wire; the coordinator uses
+    the names for latch-consistent accounting and to mark the
+    downstream pairs as elision candidates.  ``busy_s`` is the
+    worker-measured ``on_execute`` time of the whole run.
+
+    ``error`` is ``None`` on success, else ``(phase, message)`` of the
+    first member that failed (its execution raised, or its result did
+    not pickle); the columns then hold only the members before it — the
+    run's survivors, which the coordinator commits before re-raising the
+    error as :class:`~repro.errors.VertexExecutionError`.  ``skipped``
+    lists the phases of members that were *not* executed because an
+    earlier member failed; the coordinator requeues them.
     """
 
     worker_id: int
-    results: Tuple[ResultMsg, ...] = ()
-    skipped: Tuple[Tuple[int, int], ...] = ()
+    vertex: int
+    phases: Tuple[int, ...] = ()
+    outputs: Tuple[Dict[str, Any], ...] = ()
+    records: Tuple[Tuple[Any, ...], ...] = ()
+    suppressed: Tuple[Tuple[str, ...], ...] = ()
+    busy_s: float = 0.0
+    error: Optional[Tuple[int, str]] = None
+    skipped: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,20 +127,18 @@ class ShutdownMsg:
 @dataclass(frozen=True, slots=True)
 class FinalStateMsg:
     """The worker's parting report: per-vertex state deltas (when
-    requested), cumulative busy seconds, and executed-pair count.
+    requested), cumulative busy seconds, and executed-member count.
 
     ``deltas`` maps vertex name to a
     :meth:`~repro.core.vertex.Vertex.snapshot_delta` payload taken
     against the behaviour's spawn-time state — which is exactly the state
     the coordinator's own copy still holds, because the compute step only
-    ever runs worker-side.  ``states`` carries full
-    :meth:`~repro.core.vertex.Vertex.snapshot_state` snapshots and is
-    kept for tooling that wants the unconditional form; the engine ships
-    deltas.
+    ever runs worker-side.  ``executed`` counts every member the worker
+    ran; on a graceful drain it must equal the members the coordinator
+    committed for this worker (the cross-process exactly-once check).
     """
 
     worker_id: int
-    states: Dict[str, Any] = field(default_factory=dict)
     deltas: Dict[str, Any] = field(default_factory=dict)
     busy_s: float = 0.0
     executed: int = 0
@@ -268,56 +252,6 @@ class Interner:
             "resets": self.resets,
             "approx_bytes": self._approx_bytes,
         }
-
-
-def run_from_contexts(
-    v: int,
-    prepared: Sequence[Tuple[int, VertexContext]],
-    interner: Optional[Interner] = None,
-) -> RunMsg:
-    """Snapshot a claimed run's prepared contexts into one run frame.
-
-    *prepared* is the ascending-phase list of ``(phase, ctx)`` for the
-    members of one :meth:`~repro.core.state.SchedulerState.claim_run`
-    result.  The vertex name and successor tuple are taken from the head
-    context and ride the frame once.
-    """
-    if not prepared:
-        raise ValueError("run_from_contexts: empty member list")
-    head = prepared[0][1]
-    intern = interner.intern if interner is not None else _identity
-    members = tuple(
-        RunMember(
-            phase=p,
-            inputs={k: intern(val) for k, val in ctx.inputs.items()},
-            changed=intern(tuple(sorted(ctx.changed))),
-            phase_input=intern(ctx.phase_input),
-        )
-        for p, ctx in prepared
-    )
-    return RunMsg(
-        vertex=v,
-        name=head.name,
-        successors=intern(tuple(head._successors)),
-        members=members,
-    )
-
-
-def _identity(value: Any) -> Any:
-    return value
-
-
-def context_from_member(run: RunMsg, member: RunMember) -> VertexContext:
-    """Rebuild one member's execution context from a run frame (worker
-    side)."""
-    return VertexContext(
-        name=run.name,
-        phase=member.phase,
-        inputs=member.inputs,
-        changed=set(member.changed),
-        successors=list(run.successors),
-        phase_input=member.phase_input,
-    )
 
 
 def traffic_class_of(msg: object) -> str:

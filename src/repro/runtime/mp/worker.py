@@ -10,45 +10,44 @@ per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
 sections removed: dequeue a :class:`~.protocol.RunMsg`, execute its
-members in phase order against the shipped context snapshots, and answer
-with one :class:`~.protocol.ResultBatch` of outputs + records; output
-values recurring across the run are interned so the reply frame pickles
-them once.  All scheduling-set bookkeeping stays coordinator-side, under
-the coordinator's lock.
+members in phase order against the shipped column snapshots, and answer
+with one column :class:`~.protocol.ResultBatch` of outputs + records;
+output values recurring across the run are interned so the reply frame
+pickles them once.  All scheduling-set bookkeeping stays
+coordinator-side, under the coordinator's lock.
 
 At startup the worker snapshots each behaviour's spawn-time state; the
 shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
 payloads against those baselines, so re-synchronising the coordinator
 costs bytes proportional to what actually changed.
 
-A vertex exception becomes an error :class:`~.protocol.ResultMsg` entry
-and the run's remaining members are reported as skipped (the coordinator
-commits the survivors, then re-raises the error as
-:class:`~repro.errors.VertexExecutionError`); a failure of the loop
-itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a reply
-fails to pickle, the worker salvages it result-by-result — the
-poisoned result degrades to an error entry, the survivors still ship and
-commit.  Either way the worker keeps draining its task queue until told
-to shut down, so the coordinator never blocks on a dead letter.
+A vertex exception stops the run: the reply carries the members before
+it, ``error`` for it, and the remaining phases as skipped (the
+coordinator commits the survivors, requeues the tail, then re-raises the
+error as :class:`~repro.errors.VertexExecutionError`); a failure of the
+loop itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a reply
+fails to pickle, the worker cuts it at the first member whose result
+does not pickle: the members before it ship and commit, the poisoned
+member becomes the error.  Either way the worker keeps draining its
+task queue until told to shut down, so the coordinator never blocks on
+a dead letter.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ...core.ports import stable_equal
-from ...core.vertex import Vertex
+from ...core.vertex import Vertex, VertexContext
 from .protocol import (
     FinalStateMsg,
     Interner,
     ResultBatch,
-    ResultMsg,
-    RunMember,
     RunMsg,
     ShutdownMsg,
     WorkerCrashMsg,
-    context_from_member,
     decode,
     encode,
 )
@@ -99,43 +98,65 @@ class _SuppressFilter:
         return kept, tuple(suppressed)
 
 
-def _execute(
+def _execute_run(
     worker_id: int,
     behaviors: Dict[str, Vertex],
     run: RunMsg,
-    member: RunMember,
     interner: Interner,
     suppress_filter: "_SuppressFilter | None" = None,
-) -> ResultMsg:
-    ctx = context_from_member(run, member)
-    started = time.perf_counter()
-    try:
-        behavior = behaviors[run.name]
-        returned = behavior.on_execute(ctx)
-        ctx.finish(returned)
-    except Exception as exc:  # noqa: BLE001 - becomes VertexExecutionError
-        return ResultMsg(
-            worker_id=worker_id,
-            vertex=run.vertex,
-            phase=member.phase,
-            error=str(exc),
-            compute_s=time.perf_counter() - started,
-        )
-    raw_outputs = dict(ctx.outputs)
-    suppressed: Tuple[str, ...] = ()
-    if suppress_filter is not None:
-        raw_outputs, suppressed = suppress_filter.filter(
-            run.name, raw_outputs
-        )
+) -> ResultBatch:
+    """Execute *run*'s members in phase order.
+
+    The first failing member stops the run: its phase becomes the
+    reply's ``error`` and the later members are reported in ``skipped``
+    (for coordinator requeue) without advancing this worker's state, so
+    the failure is attributed to its exact phase.
+    """
+    name = run.name
     intern = interner.intern
-    return ResultMsg(
+    phases: List[int] = []
+    outputs: List[Dict[str, Any]] = []
+    records: List[Tuple[Any, ...]] = []
+    suppressed: List[Tuple[str, ...]] = []
+    error: Optional[Tuple[int, str]] = None
+    busy_s = 0.0
+    for p, inputs, changed, phase_input in zip(
+        run.phases, run.inputs, run.changed, run.phase_inputs
+    ):
+        ctx = VertexContext(
+            name=name,
+            phase=p,
+            inputs=inputs,
+            changed=changed,
+            successors=run.successors,
+            phase_input=phase_input,
+        )
+        started = time.perf_counter()
+        try:
+            ctx.finish(behaviors[name].on_execute(ctx))
+        except Exception as exc:  # noqa: BLE001 - becomes VertexExecutionError
+            error = (p, str(exc))
+            break
+        finally:
+            busy_s += time.perf_counter() - started
+        outs = ctx.outputs
+        supp: Tuple[str, ...] = ()
+        if suppress_filter is not None:
+            outs, supp = suppress_filter.filter(name, outs)
+        phases.append(p)
+        outputs.append({k: intern(v) for k, v in outs.items()})
+        records.append(tuple(intern(r) for r in ctx.records))
+        suppressed.append(supp)
+    return ResultBatch(
         worker_id=worker_id,
         vertex=run.vertex,
-        phase=member.phase,
-        outputs={k: intern(v) for k, v in raw_outputs.items()},
-        records=tuple(intern(r) for r in ctx.records),
-        compute_s=time.perf_counter() - started,
-        suppressed=suppressed,
+        phases=tuple(phases),
+        outputs=tuple(outputs),
+        records=tuple(records),
+        suppressed=tuple(suppressed),
+        busy_s=busy_s,
+        error=error,
+        skipped=run.phases[len(phases) + 1 :] if error is not None else (),
     )
 
 
@@ -156,58 +177,43 @@ def _describe_pickle_failure(exc: BaseException) -> str:
     return " <- ".join(parts)
 
 
-def _encode_result_batch(
-    worker_id: int,
-    results: List[ResultMsg],
-    skipped: List[Tuple[int, int]],
-) -> bytes:
-    """Encode a run's reply, salvaging survivors if pickling fails.
+def _encode_result_batch(batch: ResultBatch) -> bytes:
+    """Encode a run's reply, salvaging its prefix if pickling fails.
 
-    A result whose outputs do not pickle would poison the whole frame;
-    instead each unpicklable result is downgraded **in place** to an
-    error entry carrying the original pickling exception (the
-    coordinator raises a :class:`~repro.errors.VertexExecutionError` for
-    it) while every other result ships intact.  Executed results are
-    never moved into ``skipped``: the coordinator re-dispatches skipped
-    pairs, and a pair that already ran on this worker must not run a
-    second time (the warm-cached behaviour state has already advanced).
-    ``skipped`` therefore passes through exactly as the task loop built
-    it — pairs that were genuinely never executed.
+    A member whose outputs or records do not pickle would poison the
+    whole frame; instead the reply is cut at the first such member,
+    which becomes the ``error`` (carrying the original pickling
+    exception — the coordinator raises a
+    :class:`~repro.errors.VertexExecutionError` for it), and the members
+    before it ship intact.  Members executed after the poisoned one are
+    dropped, never moved into ``skipped``: the coordinator re-dispatches
+    skipped phases, and a member that already ran on this worker must
+    not run a second time (the warm-cached behaviour state has already
+    advanced).  ``skipped`` therefore passes through exactly as the run
+    loop built it — phases that were genuinely never executed.
     """
     try:
-        return encode(
-            ResultBatch(
-                worker_id=worker_id,
-                results=tuple(results),
-                skipped=tuple(skipped),
-            )
-        )
-    except Exception:  # noqa: BLE001 - salvage result-by-result
-        salvaged: List[ResultMsg] = []
-        for res in results:
+        return encode(batch)
+    except Exception:  # noqa: BLE001 - salvage the prefix
+        for i, p in enumerate(batch.phases):
             try:
-                encode(res)
-                salvaged.append(res)
-            except Exception as exc:  # noqa: BLE001 - a poison result
-                salvaged.append(
-                    ResultMsg(
-                        worker_id=worker_id,
-                        vertex=res.vertex,
-                        phase=res.phase,
-                        error="result not picklable: "
-                        + _describe_pickle_failure(exc),
-                        compute_s=res.compute_s,
-                        suppressed=res.suppressed,
+                encode((batch.outputs[i], batch.records[i]))
+            except Exception as exc:  # noqa: BLE001 - the poisoned member
+                return encode(
+                    replace(
+                        batch,
+                        phases=batch.phases[:i],
+                        outputs=batch.outputs[:i],
+                        records=batch.records[:i],
+                        suppressed=batch.suppressed[:i],
+                        error=(
+                            p,
+                            "result not picklable: "
+                            + _describe_pickle_failure(exc),
+                        ),
                     )
                 )
-        executed = {(r.vertex, r.phase) for r in salvaged}
-        return encode(
-            ResultBatch(
-                worker_id=worker_id,
-                results=tuple(salvaged),
-                skipped=tuple(p for p in skipped if p not in executed),
-            )
-        )
+        raise
 
 
 def worker_main(
@@ -261,28 +267,12 @@ def worker_main(
                     )
                 )
                 return
-            # Members execute in phase order.  After a failure the rest
-            # of the run is reported in ``skipped`` (for coordinator
-            # requeue) and never advances this worker's state, so the
-            # failing member's phase is attributed exactly.
-            results: List[ResultMsg] = []
-            skipped: List[Tuple[int, int]] = []
-            for member in msg.members:
-                if results and results[-1].error is not None:
-                    skipped.append((msg.vertex, member.phase))
-                    continue
-                result = _execute(
-                    worker_id,
-                    behaviors,
-                    msg,
-                    member,
-                    interner,
-                    suppress_filter,
-                )
-                busy_s += result.compute_s
-                executed += 1
-                results.append(result)
-            result_queue.put(_encode_result_batch(worker_id, results, skipped))
+            batch = _execute_run(
+                worker_id, behaviors, msg, interner, suppress_filter
+            )
+            busy_s += batch.busy_s
+            executed += len(batch.phases) + (batch.error is not None)
+            result_queue.put(_encode_result_batch(batch))
     except (KeyboardInterrupt, SystemExit):  # terminate() / Ctrl-C paths
         raise
     except BaseException as exc:  # noqa: BLE001 - reported to coordinator

@@ -40,7 +40,6 @@ from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
     ResultBatch,
-    RunMember,
     RunMsg,
     encode,
 )
@@ -491,20 +490,22 @@ class TestMidRunSalvage:
             pool.start()
             run = RunMsg(
                 vertex=1, name="a", successors=(),
-                members=tuple(
-                    RunMember(phase=p, inputs={}, changed=())
-                    for p in range(1, 6)
-                ),
+                phases=(1, 2, 3, 4, 5),
+                inputs=({},) * 5,
+                changed=((),) * 5,
+                phase_inputs=(None,) * 5,
             )
             pool.submit_to_worker(0, encode(run), "tasks")
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
-            assert [r.phase for r in msg.results] == [1, 2, 3]
-            assert msg.results[0].error is None
-            assert msg.results[1].error is None
-            assert "mid-run kaboom" in msg.results[2].error
-            assert msg.results[2].phase == 3
-            assert msg.skipped == ((1, 4), (1, 5))
+            assert msg.vertex == 1
+            assert msg.phases == (1, 2)
+            assert msg.records == ((("ok", 1),), (("ok", 2),))
+            assert msg.error is not None
+            phase, message = msg.error
+            assert phase == 3
+            assert "mid-run kaboom" in message
+            assert msg.skipped == (4, 5)
         finally:
             pool.terminate()
 

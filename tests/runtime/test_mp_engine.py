@@ -17,12 +17,11 @@ from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
-    ResultMsg,
+    ResultBatch,
+    RunMsg,
     WireStats,
-    context_from_member,
     decode,
     encode,
-    run_from_contexts,
 )
 from repro.streams.workloads import (
     cpu_heavy_workload,
@@ -45,11 +44,18 @@ class TestProtocol:
             successors=["v4", "v5"],
             phase_input=("tick", 7),
         )
-        run = run_from_contexts(3, [(7, ctx)])
+        run = RunMsg(
+            3, ctx.name, tuple(ctx._successors), (7,), (ctx.inputs,),
+            (tuple(sorted(ctx.changed)),), (ctx.phase_input,),
+        )
         clone = decode(encode(run))
         assert clone == run
-        (member,) = clone.members
-        rebuilt = context_from_member(clone, member)
+        # The worker rebuilds the member's context from the columns.
+        rebuilt = VertexContext(
+            name=clone.name, phase=clone.phases[0],
+            inputs=clone.inputs[0], changed=clone.changed[0],
+            successors=clone.successors, phase_input=clone.phase_inputs[0],
+        )
         assert rebuilt.name == "v3"
         assert rebuilt.phase == 7
         assert rebuilt.inputs == {"v1": 1.5, "v2": "x"}
@@ -58,9 +64,10 @@ class TestProtocol:
         assert rebuilt.phase_input == ("tick", 7)
 
     def test_result_frame_round_trip(self):
-        res = ResultMsg(
-            worker_id=1, vertex=3, phase=7,
-            outputs={"v4": 0.25}, records=(("anomaly", 7),), compute_s=0.01,
+        res = ResultBatch(
+            worker_id=1, vertex=3, phases=(7,),
+            outputs=({"v4": 0.25},), records=((("anomaly", 7),),),
+            suppressed=((),), busy_s=0.01,
         )
         assert decode(encode(res)) == res
 
@@ -174,6 +181,46 @@ class TestFinalStateRestore:
             for n, b in prog.behaviors.items()
         }
         assert actual == expected
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_executed_count_mismatch_raises(self, monkeypatch, delta):
+        # Exactly-once across processes: a worker whose parting report
+        # counts more (a member ran twice) or fewer members than the
+        # coordinator committed for it fails the drain.
+        import dataclasses
+
+        real_shutdown = ProcessWorkerPool.shutdown
+
+        def skewed_shutdown(self, timeout, collect_state=True):
+            finals = real_shutdown(self, timeout, collect_state)
+            finals[0] = dataclasses.replace(
+                finals[0], executed=finals[0].executed + delta
+            )
+            return finals
+
+        monkeypatch.setattr(ProcessWorkerPool, "shutdown", skewed_shutdown)
+        prog, phases = pipeline_workload(phases=5)
+        with pytest.raises(EngineError, match="worker 0 executed"):
+            ProcessEngine(prog, num_workers=2).run(phases)
+
+    def test_executed_counts_match_commits(self, monkeypatch):
+        # The unskewed reports agree with the coordinator's per-worker
+        # commit counts (the check is not vacuous: both sides nonzero).
+        reports = {}
+        real_shutdown = ProcessWorkerPool.shutdown
+
+        def recording_shutdown(self, timeout, collect_state=True):
+            finals = real_shutdown(self, timeout, collect_state)
+            reports.update({w: f.executed for w, f in finals.items()})
+            return finals
+
+        monkeypatch.setattr(
+            ProcessWorkerPool, "shutdown", recording_shutdown
+        )
+        prog, phases = pipeline_workload(phases=5)
+        res = ProcessEngine(prog, num_workers=2).run(phases)
+        assert reports == res.stats["per_worker_executions"]
+        assert all(n > 0 for n in reports.values())
 
 
 class _Boom(Vertex):

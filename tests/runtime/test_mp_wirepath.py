@@ -17,8 +17,8 @@ import pytest
 from repro.analysis.serializability import assert_serializable
 from repro.core.serial import SerialExecutor
 from repro.core.state import ReadyFrontier
-from repro.core.program import Program
-from repro.core.vertex import Vertex, VertexContext
+from repro.core.program import PairRuntime, Program
+from repro.core.vertex import Vertex
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
@@ -28,13 +28,9 @@ from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
     Interner,
     ResultBatch,
-    ResultMsg,
-    RunMember,
     RunMsg,
-    context_from_member,
     decode,
     encode,
-    run_from_contexts,
 )
 from repro.streams.workloads import grid_workload
 from repro.testing import fuzz_process
@@ -49,12 +45,13 @@ from tests.conftest import make_chain_program, signals
 
 def _run(vertex, name, phases, successors=(), inputs=None):
     """A run frame over *phases* with fixed per-member inputs."""
+    phases = tuple(phases)
     return RunMsg(
         vertex=vertex, name=name, successors=tuple(successors),
-        members=tuple(
-            RunMember(phase=p, inputs=dict(inputs or {}), changed=())
-            for p in phases
-        ),
+        phases=phases,
+        inputs=tuple(dict(inputs or {}) for _ in phases),
+        changed=tuple(() for _ in phases),
+        phase_inputs=tuple(None for _ in phases),
     )
 
 
@@ -62,21 +59,24 @@ class TestBatchFraming:
     def test_task_batch_round_trip(self):
         run = RunMsg(
             vertex=1, name="a", successors=("b",),
-            members=tuple(
-                RunMember(phase=p, inputs={"x": p}, changed=("x",))
-                for p in range(1, 4)
-            ),
+            phases=(1, 2, 3),
+            inputs=tuple({"x": p} for p in range(1, 4)),
+            changed=(("x",),) * 3,
+            phase_inputs=(None, None, ("tick", 3)),
         )
         assert decode(encode(run)) == run
 
     def test_result_batch_round_trip(self):
         batch = ResultBatch(
             worker_id=1,
-            results=(
-                ResultMsg(worker_id=1, vertex=2, phase=3, outputs={"b": 9}),
-                ResultMsg(worker_id=1, vertex=2, phase=4, error="boom"),
-            ),
-            skipped=((2, 5), (2, 6)),
+            vertex=2,
+            phases=(3,),
+            outputs=({"b": 9},),
+            records=((("anomaly", 3),),),
+            suppressed=(("c",),),
+            busy_s=0.5,
+            error=(4, "boom"),
+            skipped=(5, 6),
         )
         assert decode(encode(batch)) == batch
 
@@ -99,7 +99,7 @@ class TestBatchFraming:
             pool.start()
             pool.submit_to_worker(0, encode(_run(1, "v1", [])), "tasks")
             msg = pool.collect(timeout=30.0)
-            assert msg == ResultBatch(worker_id=0, results=(), skipped=())
+            assert msg == ResultBatch(worker_id=0, vertex=1)
             finals = pool.shutdown(timeout=30.0)
             assert 0 in finals
         finally:
@@ -122,8 +122,8 @@ def _solo_program(behavior: Vertex) -> Program:
 class TestMidBatchFailure:
     def test_worker_reports_survivors_and_skips(self):
         # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
-        # result, a@2's error entry, and a@3 as skipped — never a@3
-        # executed out of order past the failure.
+        # result, a@2's error, and a@3 as skipped — never a@3 executed
+        # out of order past the failure.
         prog = _solo_program(_BoomAtPhase2())
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
@@ -131,11 +131,12 @@ class TestMidBatchFailure:
             pool.submit_to_worker(0, encode(_run(1, "a", [1, 2, 3])), "tasks")
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
-            assert [r.phase for r in msg.results] == [1, 2]
-            assert msg.results[0].error is None
-            assert msg.results[0].records == (("ok", 1),)
-            assert "kaboom" in msg.results[1].error
-            assert msg.skipped == ((1, 3),)
+            assert msg.vertex == 1
+            assert msg.phases == (1,)
+            assert msg.records == ((("ok", 1),),)
+            assert msg.error[0] == 2
+            assert "kaboom" in msg.error[1]
+            assert msg.skipped == (3,)
         finally:
             pool.terminate()
 
@@ -188,63 +189,76 @@ class _Poison:
 
 
 class TestSalvageEncoding:
-    """Unit tests of the worker's result-by-result salvage path.
+    """Unit tests of the worker's salvage path for an unpicklable reply.
 
-    Regression: the old salvage loop stopped at the first poison result
-    and reclassified every *executed* result after it as skipped.  The
-    coordinator re-dispatches skipped pairs, so pairs that had already
-    run on the worker (warm-cached state already advanced) ran twice.
+    Regression: an early salvage loop reclassified every *executed*
+    member after the poisoned one as skipped.  The coordinator
+    re-dispatches skipped phases, so members that had already run on the
+    worker (warm-cached state already advanced) ran twice.
     """
 
     @staticmethod
-    def _salvage(results, skipped):
+    def _salvage(batch):
         from repro.runtime.mp.worker import _encode_result_batch
 
-        return decode(_encode_result_batch(0, list(results), list(skipped)))
+        return decode(_encode_result_batch(batch))
 
     @staticmethod
-    def _ok(vertex, phase, value="ok"):
-        return ResultMsg(worker_id=0, vertex=vertex, phase=phase,
-                         outputs={"out": value}, compute_s=0.25)
-
-    def test_executed_results_after_poison_still_ship(self):
-        poison = ResultMsg(worker_id=0, vertex=2, phase=1,
-                           outputs={"out": _Poison()}, compute_s=0.5)
-        batch = self._salvage(
-            [self._ok(1, 1), poison, self._ok(3, 1)], skipped=[(9, 1)]
+    def _batch(values, error=None, skipped=()):
+        """A one-vertex reply whose member *i* ran phase ``i + 1`` and
+        emitted ``values[i]``."""
+        n = len(values)
+        return ResultBatch(
+            worker_id=0, vertex=2,
+            phases=tuple(range(1, n + 1)),
+            outputs=tuple({"out": v} for v in values),
+            records=((),) * n,
+            suppressed=((),) * n,
+            busy_s=0.5,
+            error=error,
+            skipped=tuple(skipped),
         )
-        # All three executed results present, in order.
-        assert [(r.vertex, r.phase) for r in batch.results] == [
-            (1, 1), (2, 1), (3, 1)
-        ]
-        assert batch.results[0].error is None
-        assert batch.results[2].error is None
-        # Old code dropped (3, 1) into skipped -> double execution.
-        assert batch.skipped == ((9, 1),)
-        executed = {(r.vertex, r.phase) for r in batch.results}
-        assert executed.isdisjoint(set(batch.skipped))
+
+    def test_members_after_poison_are_never_requeued(self):
+        # Members before the poisoned one ship; those executed after it
+        # are dropped — never moved into skipped, which the coordinator
+        # would re-dispatch.
+        batch = self._salvage(
+            self._batch(["ok", _Poison(), "ok"], skipped=[4])
+        )
+        assert batch.phases == (1,)
+        assert batch.outputs == ({"out": "ok"},)
+        assert batch.records == ((),) and batch.suppressed == ((),)
+        assert batch.error[0] == 2
+        # Old code dropped executed members into skipped -> double
+        # execution.
+        assert batch.skipped == (4,)
+        assert 3 not in batch.phases and 3 not in batch.skipped
 
     def test_poison_error_carries_original_exception(self):
-        poison = ResultMsg(worker_id=0, vertex=2, phase=4,
-                           outputs={"out": _Poison()}, compute_s=0.5)
-        batch = self._salvage([poison], skipped=[])
-        (res,) = batch.results
-        assert res.error is not None
-        assert "result not picklable" in res.error
-        assert "TypeError" in res.error
-        assert "deliberately unpicklable" in res.error
-        # compute_s survives the downgrade: utilization stays honest.
-        assert res.compute_s == 0.5
+        batch = self._salvage(self._batch([_Poison()]))
+        assert batch.phases == ()
+        phase, message = batch.error
+        assert phase == 1
+        assert "result not picklable" in message
+        assert "TypeError" in message
+        assert "deliberately unpicklable" in message
+        # busy_s survives the downgrade: utilization stays honest.
+        assert batch.busy_s == 0.5
 
     def test_genuine_error_entries_pass_through(self):
-        failed = ResultMsg(worker_id=0, vertex=5, phase=2,
-                           error="division by zero", compute_s=0.1)
-        poison = ResultMsg(worker_id=0, vertex=6, phase=2,
-                           outputs={"out": _Poison()}, compute_s=0.2)
-        batch = self._salvage([failed, poison], skipped=[(7, 2)])
-        assert batch.results[0].error == "division by zero"
-        assert "not picklable" in batch.results[1].error
-        assert batch.skipped == ((7, 2),)
+        failed = self._batch(["ok"], error=(2, "division by zero"),
+                             skipped=[3])
+        assert self._salvage(failed) == failed
+        # A poisoned member before the genuine failure is the first
+        # failure: it becomes the error, the tail stays skipped.
+        poisoned = self._salvage(self._batch(
+            ["ok", _Poison()], error=(3, "division by zero"), skipped=[4],
+        ))
+        assert poisoned.phases == (1,)
+        assert poisoned.error[0] == 2
+        assert "not picklable" in poisoned.error[1]
+        assert poisoned.skipped == (4,)
 
     def test_cause_chain_rendered(self):
         from repro.runtime.mp.worker import _describe_pickle_failure
@@ -331,13 +345,13 @@ class TestInterner:
             return "".join(["a repeated latched value"] * 4)
 
         def frame(intern):
+            phases = tuple(range(1, 9))
             return encode(RunMsg(
                 vertex=1, name="a", successors=("b",),
-                members=tuple(
-                    RunMember(phase=p, inputs={"x": intern(fresh_payload())},
-                              changed=())
-                    for p in range(1, 9)
-                ),
+                phases=phases,
+                inputs=tuple({"x": intern(fresh_payload())} for _ in phases),
+                changed=((),) * len(phases),
+                phase_inputs=(None,) * len(phases),
             ))
 
         assert len(frame(Interner().intern)) < len(frame(lambda v: v))
@@ -408,44 +422,119 @@ class TestInterner:
 # ---------------------------------------------------------------------------
 
 
-def _prepared_members(phases, payload="latched"):
-    """Ascending (phase, ctx) members the way the coordinator prepares
-    them for one claimed run."""
-    return [
-        (p, VertexContext(
-            name="mid", phase=p, inputs={"up": payload}, changed={"up"},
-            successors=["down", "side"], phase_input=None,
-        ))
-        for p in phases
-    ]
+def _mid_runtime(phases):
+    """A :class:`PairRuntime` over ``up -> mid -> {down, side}`` in which
+    ``up`` has executed every one of *phases* (so ``mid``'s latched
+    input is ``up``'s value)."""
+    g = ComputationGraph("framing")
+    for v in ("up", "mid", "down", "side"):
+        g.add_vertex(v)
+    g.add_edge("up", "mid")
+    g.add_edge("mid", "down")
+    g.add_edge("mid", "side")
+
+    class _Emit(Vertex):
+        def on_execute(self, ctx):
+            ctx.emit("latched")
+
+    prog = Program(g, {v: _Emit() for v in ("up", "mid", "down", "side")})
+    runtime = PairRuntime(
+        prog, [PhaseInput(p, float(p)) for p in range(1, max(phases) + 1)]
+    )
+    up = prog.numbering.index_of["up"]
+    for p in range(1, max(phases) + 1):
+        runtime.execute(up, p)
+    return runtime, prog.numbering.index_of["mid"]
 
 
 class TestRunFraming:
     def test_round_trip_expands_in_phase_order(self):
-        run = run_from_contexts(3, _prepared_members([4, 5, 6]))
+        runtime, mid = _mid_runtime([4, 5, 6])
+        name, succs, inputs, changed, phase_inputs = runtime.prepare_run(
+            mid, (4, 5, 6)
+        )
+        run = RunMsg(mid, name, succs, (4, 5, 6), inputs, changed,
+                     phase_inputs)
         decoded = decode(encode(run))
-        assert decoded.vertex == 3
-        ctxs = [context_from_member(decoded, m) for m in decoded.members]
-        assert [c.phase for c in ctxs] == [4, 5, 6]
-        for c in ctxs:
-            assert c.name == "mid"
-            assert c._successors == ["down", "side"]
-            assert c.inputs == {"up": "latched"}
-            assert c.changed == {"up"}
+        assert decoded == run
+        assert decoded.vertex == mid
+        assert decoded.phases == (4, 5, 6)
+        assert decoded.name == "mid"
+        assert sorted(decoded.successors) == ["down", "side"]
+        # Each column holds what prepare() puts in that member's context.
+        for i, p in enumerate(decoded.phases):
+            ctx = runtime.prepare(mid, p)
+            assert decoded.inputs[i] == ctx.inputs == {"up": "latched"}
+            assert set(decoded.changed[i]) == ctx.changed == {"up"}
+            assert decoded.phase_inputs[i] is None
 
     def test_header_rides_once(self):
         # A run frame carries name/successors once; the same members
         # shipped as runs of one repeat them per member.
-        prepared = _prepared_members(range(1, 9), payload="v" * 64)
-        run_frame = encode(run_from_contexts(3, prepared, Interner()))
-        singles = encode(tuple(
-            run_from_contexts(3, [member]) for member in prepared
-        ))
+        intern = Interner().intern
+        payload = "v" * 64
+        phases = tuple(range(1, 9))
+
+        def run(members):
+            return RunMsg(
+                3, "mid", ("down", "side"), members,
+                tuple({"up": intern(payload)} for _ in members),
+                (("up",),) * len(members), (None,) * len(members),
+            )
+
+        run_frame = encode(run(phases))
+        singles = encode(tuple(run((p,)) for p in phases))
         assert len(run_frame) < len(singles)
 
     def test_empty_run_rejected(self):
+        runtime, mid = _mid_runtime([1])
         with pytest.raises(ValueError):
-            run_from_contexts(3, [])
+            runtime.prepare_run(mid, ())
+
+
+class TestNoPerMemberObjects:
+    """A frame's members are plain tuples/dicts: the count of
+    object-building pickle opcodes is the frame's own, whatever the
+    member count, so per-member objects cannot creep back in."""
+
+    @staticmethod
+    def _object_opcodes(msg):
+        import pickletools
+
+        return sum(
+            1 for op, _arg, _pos in pickletools.genops(encode(msg))
+            if op.name in ("NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD")
+        )
+
+    @staticmethod
+    def _run(n):
+        phases = tuple(range(1, n + 1))
+        return RunMsg(
+            3, "mid", ("down", "side"), phases,
+            tuple({"up": float(p), "left": f"s{p}"} for p in phases),
+            (("up",),) * n, tuple(float(p) for p in phases),
+        )
+
+    @staticmethod
+    def _batch(n):
+        phases = tuple(range(1, n + 1))
+        return ResultBatch(
+            worker_id=0, vertex=3, phases=phases,
+            outputs=tuple({"down": float(p), "side": p} for p in phases),
+            records=tuple((("alert", p),) for p in phases),
+            suppressed=(("side",),) * n,
+            busy_s=0.25,
+        )
+
+    def test_run_frame_count_independent_of_members(self):
+        one = self._object_opcodes(self._run(1))
+        assert one > 0  # the frame itself is one object
+        assert self._object_opcodes(self._run(64)) == one
+
+    def test_result_frame_count_independent_of_members(self):
+        one = self._object_opcodes(self._batch(1))
+        assert one > 0
+        assert self._object_opcodes(self._batch(64)) == one
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,28 @@ class TestRun:
         assert "process[w=2]" in out
         assert "is serializable" in out
 
+    def test_profile_process_engine_stages(self, tmp_path, capsys):
+        # --profile on the process engine: the coordinator's run-level
+        # prepare/commit and the frame codec land in their stages, and
+        # the stages plus "other" partition the profiled total.
+        import json
+
+        specs = Path(__file__).resolve().parents[1] / "specs"
+        stats_path = tmp_path / "stats.json"
+        assert main([
+            "run", str(specs / "plant_monitor.xml"), "--engine", "process",
+            "--workers", "2", "--max-records", "0",
+            "--profile", str(tmp_path / "run.pstats"),
+            "--stats-json", str(stats_path),
+        ]) == 0
+        assert "profile written to" in capsys.readouterr().out
+        assert (tmp_path / "run.pstats").stat().st_size > 0
+        profile = json.loads(stats_path.read_text())["stats"]["profile"]
+        stages = profile["stages"]
+        for stage in ("prepare", "commit", "serialization"):
+            assert stages[stage] > 0.0, stage
+        assert sum(stages.values()) == pytest.approx(profile["total_s"])
+
     def test_stats_json_to_file(self, spec_file, tmp_path, capsys):
         import json
 
